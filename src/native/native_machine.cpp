@@ -1435,9 +1435,19 @@ struct NativeMachine::Impl : TransportSink {
             return Step::Stopped;
           }
           const int owner = m->layout.ownerOfOffset(offset);
+          NToken tok;
+          tok.amKind = static_cast<std::uint8_t>(AmKind::Write);
+          tok.ctx = arrId;
+          tok.senderCtx = static_cast<std::uint64_t>(offset);
+          tok.slot = static_cast<std::uint16_t>(pe);
+          tok.v = f.slots[in.dst];
           if (owner == pe) {
             w.st.amLocalWrites++;
-            if (!wireApplyWrite(pe, arrId, offset, f.slots[in.dst]))
+            // A respawned owner rebuilds its elements from Am records only:
+            // a local write whose frame has since retired is never
+            // re-executed, so it must be in the log like a serviced one.
+            if (workerMode()) logAm(pe, tok);
+            if (!wireApplyWrite(pe, arrId, offset, tok.v))
               return Step::Stopped;
             break;
           }
@@ -1446,12 +1456,6 @@ struct NativeMachine::Impl : TransportSink {
           // windows + msgId dedup), and a kill-replay re-send is an
           // idempotent identical overwrite at the owner.
           w.st.amWriteSent++;
-          NToken tok;
-          tok.amKind = static_cast<std::uint8_t>(AmKind::Write);
-          tok.ctx = arrId;
-          tok.senderCtx = static_cast<std::uint64_t>(offset);
-          tok.slot = static_cast<std::uint16_t>(pe);
-          tok.v = f.slots[in.dst];
           send(pe, owner, std::move(tok));
           break;
         }

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -46,29 +47,37 @@ std::uint64_t get64(const std::uint8_t* p) {
   return v;
 }
 
-// Datagram type bytes (first byte of every UDP packet). Type 2 was the
-// retired per-message ack; the value stays reserved so old captures stay
-// readable and a stray legacy ack is rejected, not misparsed.
-constexpr std::uint8_t kTypeToken = 1;
-constexpr std::uint8_t kTypeLegacyAck = 2;
-constexpr std::uint8_t kTypeShutdown = 3;
-constexpr std::uint8_t kTypeBatch = 4;
-constexpr std::uint8_t kTypeCumAck = 5;
-// Multi-process (epoch-stamped) variants: same record/ack bodies plus one
-// incarnation byte, so a respawned sender's renumbered stream is never
-// confused with its predecessor's.
-constexpr std::uint8_t kTypeBatchE = 6;
-constexpr std::uint8_t kTypeCumAckE = 7;
+// Datagram type bytes (first byte of every UDP packet). Only two exist: a
+// batch of token records and a cumulative ack. Both carry an incarnation
+// (epoch) byte, so a respawned sender's renumbered stream is never confused
+// with its predecessor's; in-process every epoch is 0. Every other first
+// byte — including the bare token record, whose leading byte is
+// kRecordTag — is rejected and counted as a bad datagram.
+constexpr std::uint8_t kTypeBatch = 6;
+constexpr std::uint8_t kTypeCumAck = 7;
 
-// Cumulative ack: type + ackerPe u16 + cumSeq u64 + bitmap u64.
-constexpr std::size_t kCumAckWireBytes = 19;
-// Epoch batch header: type + srcPe u16 + count u16 + epoch u8.
-constexpr std::size_t kBatchEHeaderBytes = 6;
-// Epoch cumulative ack: kCumAckWireBytes + epoch u8. The epoch is the
-// *acked stream's sender's* incarnation as known by the acker — a reborn
-// sender must drop acks for its predecessor's stream, whose seq numbers
-// would otherwise wrongly retire the fresh renumbered ones.
-constexpr std::size_t kCumAckEWireBytes = 20;
+// First byte of every 65-byte token record inside a batch.
+constexpr std::uint8_t kRecordTag = 1;
+
+// Cumulative ack: type + ackerPe u16 + cumSeq u64 + bitmap u64 + epoch u8.
+// The epoch is the *acked stream's sender's* incarnation as known by the
+// acker — a reborn sender must drop acks for its predecessor's stream,
+// whose seq numbers would otherwise wrongly retire the fresh renumbered
+// ones.
+constexpr std::size_t kCumAckWireBytes = 20;
+
+/// Batch header: type + srcPe u16 + count u16 + epoch u8.
+void putBatchHeader(std::uint8_t* out, std::uint16_t srcPe, int count,
+                    std::uint8_t epoch) {
+  out[0] = kTypeBatch;
+  put16(out + 1, srcPe);
+  put16(out + 3, static_cast<std::uint16_t>(count));
+  out[5] = epoch;
+}
+
+std::size_t batchBytes(int count) {
+  return kBatchHeaderBytes + static_cast<std::size_t>(count) * kTokenWireBytes;
+}
 
 // Outbox flush deadline: how long a partially-filled batch may sit before
 // the timer thread ships it. The sending worker's loop flushes far more
@@ -77,7 +86,7 @@ constexpr double kFlushDeadlineUs = 50.0;
 
 // Lazy-ack threshold: a receiver answers partial batches and healed
 // duplicates immediately, but lets full-batch streams run this many tokens
-// between cumulative acks (see recvMain).
+// between cumulative acks (see onBatch).
 constexpr std::int64_t kAckLazyTokens = 64;
 
 /// Per-(src,dst) link counters. Written from worker, receiver, and timer
@@ -324,14 +333,26 @@ class InboxTransport final : public Transport {
 };
 
 // ---------------------------------------------------------------------------
-// UdpTransport: one UDP socket per PE on 127.0.0.1, tokens as batched
-// datagrams with cumulative acknowledgment.
+// UdpTransport: the one UDP link driver behind both --transport=udp and
+// --transport=udp-multiproc. Every PE owns one UDP socket on 127.0.0.1 and
+// tokens travel as batched, epoch-stamped datagrams with cumulative
+// acknowledgment. The two modes differ only in which PEs are local:
+//
+//   udp            every PE is local: start() binds N ephemeral sockets,
+//                  every epoch is 0, and there is no WorkerLink.
+//   udp-multiproc  a worker process drives its one PE on the socket the
+//                  supervisor bound and handed down. The supervisor keeps
+//                  its own fd copy, so the port binding and any datagrams
+//                  buffered in the kernel survive a kill -9 of the worker —
+//                  the paper's "NIC outlives the PE". Peers are addressed by
+//                  the Boot message's port table, outbound datagrams carry
+//                  the worker's boot epoch, and its WorkerLink gates output
+//                  commit.
 //
 // Sends coalesce per (src,dst) link: each link keeps a small outbox that
 // accumulates 65-byte token records and ships them as one MTU-sized batch
 // datagram when full (kBatchMaxTokens), when the sending worker's loop
-// calls flush(), or when the 50 µs deadline timer fires. A single-token
-// flush goes out as the bare legacy token datagram.
+// calls flush(), or when the 50 µs deadline timer fires.
 //
 // UDP gives no delivery guarantee even on loopback (a full SO_RCVBUF drops
 // packets silently), so the reliable-delivery protocol ALWAYS runs:
@@ -344,27 +365,51 @@ class InboxTransport final : public Transport {
 //             retransmitted record rides the link's next batch with its
 //             ORIGINAL msgId (never re-registered, so quiescence is never
 //             double-charged) alongside fresh tokens;
-//   receiver  answers every token-carrying datagram with one cumulative
-//             ack — highest contiguously received seq plus a selective
-//             bitmap for seqs above it — re-acking duplicates so a lost
-//             ack self-heals, and suppresses duplicates by link sequence
+//   receiver  answers token-carrying datagrams with cumulative acks —
+//             highest contiguously received seq plus a selective bitmap
+//             for seqs above it — re-acking duplicates so a lost ack
+//             self-heals, and suppresses duplicates by link sequence
 //             before they reach the inbox;
 //   acks      are themselves datagrams and may be lost; injected faults
 //             roll dice on acks too (lossy-ack model, as in the simulator).
+//
+// Epochs: a respawned worker boots with epoch+1 and renumbers all of its
+// links from seq 1. A receiver resets a link's window the first time it
+// sees a higher epoch from a source and drops batches from older ones (the
+// logical dedup ledgers absorb the replayed payloads); a sender drops acks
+// stamped with another epoch than its own. At epoch 0 every check passes.
+//
+// Ack policy, chosen by whether a WorkerLink is present:
+//
+//   no link     ack on receipt. A partial batch ends a burst and a
+//               duplicate means the sender is already retransmitting — both
+//               ack immediately; a stream of full batches acks every
+//               kAckLazyTokens tokens.
+//   WorkerLink  output commit. A token is acked only once it was drained
+//               AND its Recv record is stable at the supervisor
+//               (noteDrained -> pumpAcks): an acked-but-unlogged token would
+//               never be retransmitted and would vanish with the next kill.
+//               An outbox is flushed only once the log records that
+//               preceded its sends are stable (gateSeq): the NEWCTX/ALLOC
+//               mints behind a send are not replay-stable until logged. A
+//               duplicate re-acks the stable window at once.
 //
 // Fault injection composes at the datagram level: each transmission of a
 // batch (first flush and every retransmit flush) rolls the seeded FaultPlan
 // dice — Drop suppresses the sendto for the whole batch (the backoff timers
 // recover each token), Duplicate sends the wire image twice, Delay parks
-// the image in the timer.
+// the image in the timer. A worker's plan arrives with drop/dup/delay
+// zeroed: in multi-process mode the supervisor injects faults by killing
+// whole processes.
 //
-// Threads: N receiver threads (one blocking recvfrom loop per PE socket —
-// the "NIC", which a kill-mode fail-stop deliberately does NOT destroy) and
-// one timer thread driving retransmit batches, flush deadlines, and delayed
-// sends. Backoff, give-up, sequence windows, and dedup decisions live in
-// proto::Delivery: one sender endpoint under m_, and one receiver endpoint
-// per PE touched only by that PE's receiver thread (the endpoint models the
-// NIC and deliberately survives a kill-mode fail-stop of the PE).
+// Threads: one receiver thread polls every local socket — the "NIC", which
+// a kill-mode fail-stop deliberately does NOT destroy — plus an eventfd
+// that stop() raises; one timer thread drives retransmit batches, flush
+// deadlines, and delayed sends. Backoff, give-up, sequence windows, and
+// dedup decisions live in proto::Delivery: one sender endpoint under m_,
+// and one receiver endpoint per local PE touched only by the receiver
+// thread (the endpoint models the NIC and deliberately survives a
+// kill-mode fail-stop of the PE).
 //
 // Lock order: lk.m (a link's outbox) and m_ (sender window + timer heap)
 // are NEVER held together — every path releases one before taking the
@@ -373,10 +418,20 @@ class InboxTransport final : public Transport {
 
 class UdpTransport final : public Transport {
  public:
-  UdpTransport(TransportSink& sink, const FaultPlan& plan, int numPes)
+  /// `sockFd < 0`: in-process, every PE is local and start() binds the
+  /// sockets. Otherwise only `localPe` is local, on the inherited `sockFd`,
+  /// and `peerPorts` addresses every PE.
+  UdpTransport(TransportSink& sink, const FaultPlan& plan, int numPes,
+               int localPe, std::uint8_t epoch, int sockFd,
+               const std::vector<std::uint16_t>& peerPorts, WorkerLink* link)
       : sink_(sink),
         plan_(plan),
         numPes_(numPes),
+        lo_(sockFd < 0 ? 0 : localPe),
+        nLocal_(sockFd < 0 ? numPes : 1),
+        epoch_(epoch),
+        inheritedFd_(sockFd),
+        link_(link),
         links_(static_cast<std::size_t>(numPes) * numPes),
         // Fault tests tune retry.rtoUs down to recover injected drops
         // quickly; honor it then. Fault-free, datagram loss is rare (large
@@ -384,8 +439,10 @@ class UdpTransport final : public Transport {
         // on the ack path, so the policy floors it — spurious retransmits
         // are harmless (receiver dedup) but wasteful.
         sender_(plan.config().retry, plan.enabled()),
-        rx_(static_cast<std::size_t>(numPes),
+        rx_(static_cast<std::size_t>(nLocal_),
             proto::Delivery(plan.config().retry, plan.enabled())),
+        knownEpoch_(static_cast<std::size_t>(nLocal_) * numPes, 0),
+        addrs_(static_cast<std::size_t>(numPes), sockaddr_in{}),
         outSlots_(new std::atomic<LinkOut*>[static_cast<std::size_t>(numPes) *
                                             numPes]),
         dirtySrc_(new std::atomic<int>[static_cast<std::size_t>(numPes)]) {
@@ -393,6 +450,12 @@ class UdpTransport final : public Transport {
       outSlots_[i].store(nullptr, std::memory_order_relaxed);
     for (int i = 0; i < numPes; ++i)
       dirtySrc_[i].store(0, std::memory_order_relaxed);
+    for (std::size_t pe = 0; pe < peerPorts.size(); ++pe)
+      addrs_[pe] = loopback(peerPorts[pe]);
+    if (link_) {
+      for (int pe = 0; pe < numPes; ++pe)
+        acks_.push_back(std::make_unique<AckState>());
+    }
   }
 
   ~UdpTransport() override {
@@ -402,47 +465,37 @@ class UdpTransport final : public Transport {
       delete outSlots_[i].load(std::memory_order_relaxed);
   }
 
-  const char* name() const override { return "udp"; }
+  const char* name() const override {
+    return inheritedFd_ < 0 ? "udp" : "udp-multiproc";
+  }
 
   bool start(std::string* err) override {
-    fds_.assign(static_cast<std::size_t>(numPes_), -1);
-    addrs_.assign(static_cast<std::size_t>(numPes_), sockaddr_in{});
-    for (int pe = 0; pe < numPes_; ++pe) {
-      const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-      if (fd < 0) {
-        if (err) *err = "udp transport: socket(): " + errnoStr();
-        closeAll();
-        return false;
-      }
-      fds_[static_cast<std::size_t>(pe)] = fd;
-      // Large receive buffer: loopback "packet loss" is exactly a full
-      // receive queue, and every drop costs a backoff-delayed retransmit.
-      int rcvbuf = 4 << 20;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-      // Receive timeout so a receiver never blocks past shutdown even if
-      // the wake-up datagram itself were dropped.
-      timeval tv{};
-      tv.tv_usec = 20000;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-      sockaddr_in sa{};
-      sa.sin_family = AF_INET;
-      sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      sa.sin_port = 0;  // ephemeral: each PE learns its port from the bind
-      if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof sa) != 0) {
-        if (err) *err = "udp transport: bind(): " + errnoStr();
-        closeAll();
-        return false;
-      }
-      socklen_t len = sizeof addrs_[static_cast<std::size_t>(pe)];
-      if (::getsockname(
-              fd,
-              reinterpret_cast<sockaddr*>(&addrs_[static_cast<std::size_t>(pe)]),
-              &len) != 0) {
-        if (err) *err = "udp transport: getsockname(): " + errnoStr();
-        closeAll();
-        return false;
+    wakeFd_ = ::eventfd(0, EFD_CLOEXEC);
+    if (wakeFd_ < 0) return startFailed(err, "eventfd()");
+    if (inheritedFd_ >= 0) {
+      fds_.assign(1, inheritedFd_);
+    } else {
+      for (int pe = 0; pe < numPes_; ++pe) {
+        const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+        if (fd < 0) return startFailed(err, "socket()");
+        fds_.push_back(fd);
+        // Ephemeral port: each PE learns its address from the bind.
+        sockaddr_in sa = loopback(0);
+        socklen_t len = sizeof(sockaddr_in);
+        if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof sa) != 0)
+          return startFailed(err, "bind()");
+        if (::getsockname(fd,
+                          reinterpret_cast<sockaddr*>(
+                              &addrs_[static_cast<std::size_t>(pe)]),
+                          &len) != 0)
+          return startFailed(err, "getsockname()");
       }
     }
+    // Large receive buffer: loopback "packet loss" is exactly a full
+    // receive queue, and every drop costs a backoff-delayed retransmit.
+    const int rcvbuf = 4 << 20;
+    for (const int fd : fds_)
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
     rxThread_ = std::thread([this] { recvMain(); });
     timerThread_ = std::thread([this] { timerMain(); });
     return true;
@@ -453,6 +506,7 @@ class UdpTransport final : public Transport {
   /// quiescence charge was made at enqueue and keeps it visible while it
   /// coalesces here.
   void send(int fromPe, int toPe, NToken tok) override {
+    PODS_CHECK_MSG(isLocal(fromPe), "udp transport: send from a remote PE");
     LinkOut& lk = linkOut(fromPe, toPe);
     link(fromPe, toPe).tokens.fetch_add(1);
     tokensSent_.fetch_add(1);
@@ -464,9 +518,9 @@ class UdpTransport final : public Transport {
         std::lock_guard<std::mutex> g(lk.m);
         // The timer thread can leave the outbox exactly full: its
         // retransmit requeue appends up to the cap under lk.m and flushes
-        // only after dropping it. Writing a record here in that window
-        // would run past buf, so flush the full outbox ourselves and
-        // retry.
+        // only after dropping it (and a gated outbox stays full until the
+        // log catches up). Writing a record here in that window would run
+        // past buf, so flush the full outbox ourselves and retry.
         if (lk.count < kBatchMaxTokens) {
           const std::uint64_t seq = ++lk.nextSeq;
           tok.msgId = proto::Delivery::packLinkMsgId(fromPe, toPe, seq);
@@ -475,6 +529,10 @@ class UdpTransport final : public Transport {
               static_cast<std::size_t>(lk.count) * kTokenWireBytes;
           wireEncodeToken(tok, static_cast<std::uint16_t>(fromPe), rec);
           std::memcpy(lk.unackedWire[seq].data(), rec, kTokenWireBytes);
+          // Output commit: everything this token's payload may depend on
+          // (mints, received tokens) is in the log stream by now — the
+          // batch must not hit the wire before that prefix is stable.
+          if (link_) lk.gateSeq = link_->logAppended();
           if (lk.count == 0) {
             first = true;
             dirtySrc_[fromPe].fetch_add(1, std::memory_order_release);
@@ -491,7 +549,8 @@ class UdpTransport final : public Transport {
     if (full)
       flushLink(fromPe, toPe, FlushWhy::Full);
     else if (first)
-      armFlushTimer(fromPe, toPe);
+      pushLinkTimer(TimerEv::Kind::Flush,
+                    Clock::now() + micros(kFlushDeadlineUs), fromPe, toPe);
   }
 
   /// Ships everything coalescing in fromPe's outboxes. Called by the
@@ -501,27 +560,22 @@ class UdpTransport final : public Transport {
     if (dirtySrc_[fromPe].load(std::memory_order_acquire) == 0) return;
     for (int to = 0; to < numPes_; ++to) {
       if (to == fromPe) continue;
-      if (outSlots_[slot(fromPe, to)].load(std::memory_order_acquire))
-        flushLink(fromPe, to, FlushWhy::Drain);
+      if (linkOutIfExists(fromPe, to)) flushLink(fromPe, to, FlushWhy::Drain);
     }
   }
 
   void stop() override {
-    if (fds_.empty()) return;
-    rxStop_.store(true);
+    if (!rxThread_.joinable()) return;
     {
       std::lock_guard<std::mutex> g(m_);
       timerStop_ = true;
     }
     timerCv_.notify_all();
-    const std::uint8_t wake = kTypeShutdown;
-    for (int pe = 0; pe < numPes_; ++pe) {
-      rawSend(pe, addrs_[static_cast<std::size_t>(pe)],
-              sizeof(sockaddr_in), &wake, 1);
-    }
-    if (rxThread_.joinable()) rxThread_.join();
-    if (timerThread_.joinable()) timerThread_.join();
-    closeAll();
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wakeFd_, &one, sizeof one);
+    rxThread_.join();
+    timerThread_.join();
+    closeSockets();
   }
 
   void addStats(Counters& out) const override {
@@ -534,6 +588,9 @@ class UdpTransport final : public Transport {
     out.add("net.udp.acksRecv", acksRecv_.load());
     out.add("net.udp.sendErrors", sendErrors_.load());
     out.add("net.udp.badDatagrams", badDatagrams_.load());
+    out.add("net.udp.staleEpoch", staleEpoch_.load());
+    out.add("net.udp.staleAcks", staleAcks_.load());
+    out.add("net.udp.gatedFlushes", gatedFlushes_.load());
     const std::int64_t bd = batchDgrams_.load();
     const std::int64_t bt = batchTokens_.load();
     out.add("net.udp.batch.datagrams", bd);
@@ -547,7 +604,7 @@ class UdpTransport final : public Transport {
       std::lock_guard<std::mutex> g(m_);
       sender_.addStats(out);
     }
-    // Receiver threads are joined by stop() before stats are read.
+    // The receiver thread is joined by stop() before stats are read.
     for (const proto::Delivery& rx : rx_) rx.addStats(out);
     if (plan_.enabled()) {
       out.add(proto::kFaultDrops, faultDrops_.load());
@@ -557,12 +614,124 @@ class UdpTransport final : public Transport {
     addLinkStats(out, links_, numPes_);
   }
 
+  // ---- Worker-process hooks: called only with a WorkerLink, whose driver
+  // has exactly one local PE (lo_). ---------------------------------------
+
+  void noteDrained(std::uint64_t msgId, std::uint8_t epoch,
+                   std::uint64_t logSeq) override {
+    if (!link_ || msgId == 0) return;  // msgId 0: local delivery, no ack
+    const int src = static_cast<int>(msgId >> 56) & 0xFF;
+    AckState& ack = *acks_[static_cast<std::size_t>(src)];
+    std::lock_guard<std::mutex> g(ack.m);
+    // A token from a dead incarnation needs no ack — its sender is gone and
+    // the reborn one re-sends under the new epoch.
+    if (epoch != ack.epoch) return;
+    ack.pend.push_back({proto::Delivery::linkMsgIdSeq(msgId), logSeq});
+    ack.due.store(true, std::memory_order_release);
+  }
+
+  void pumpAcks() override {
+    if (!link_) return;
+    const std::uint64_t stable = link_->logStable();
+    for (int src = 0; src < numPes_; ++src) {
+      if (src == lo_) continue;
+      AckState& ack = *acks_[static_cast<std::size_t>(src)];
+      if (!ack.due.load(std::memory_order_acquire)) continue;
+      proto::Delivery::CumAckView view;
+      std::uint8_t epoch = 0;
+      bool moved = false;
+      {
+        std::lock_guard<std::mutex> g(ack.m);
+        while (!ack.pend.empty() && ack.pend.front().logSeq <= stable) {
+          ack.win.acceptSeq(src, lo_, ack.pend.front().seq);
+          ack.pend.pop_front();
+          moved = true;
+        }
+        if (ack.pend.empty()) ack.due.store(false, std::memory_order_release);
+        if (moved) {
+          view = ack.win.cumAckView(src, lo_);
+          epoch = ack.epoch;
+        }
+      }
+      if (moved) sendCumAck(lo_, src, view, epoch);
+    }
+  }
+
+  void onStableAdvance() override {
+    flush(lo_);
+    pumpAcks();
+  }
+
+  std::int64_t outstanding() const override {
+    std::int64_t n = 0;
+    for (int to = 0; to < numPes_; ++to) {
+      if (LinkOut* lk = linkOutIfExists(lo_, to)) {
+        std::lock_guard<std::mutex> g(lk->m);
+        n += lk->count;
+      }
+    }
+    {
+      std::lock_guard<std::mutex> g(m_);
+      n += static_cast<std::int64_t>(sender_.windowSize());
+    }
+    return n;
+  }
+
+  void primeRecv(std::uint64_t msgId, std::uint8_t epoch) override {
+    if (!link_) return;
+    // Pre-start rebuild (no threads yet). The log replays in receive order,
+    // so per-source epochs are non-decreasing: only the newest incarnation's
+    // stream is rebuilt — older streams died with their senders.
+    const int src = static_cast<int>(msgId >> 56) & 0xFF;
+    AckState& ack = *acks_[static_cast<std::size_t>(src)];
+    std::uint8_t& known = knownEpoch(lo_, src);
+    if (epoch < known) return;
+    if (epoch > known) {
+      known = epoch;
+      rx_[0].resetRecvLink(src, lo_);
+      ack.win = proto::Delivery();
+      ack.epoch = epoch;
+    }
+    const std::uint64_t seq = proto::Delivery::linkMsgIdSeq(msgId);
+    rx_[0].acceptSeq(src, lo_, seq);
+    ack.win.acceptSeq(src, lo_, seq);
+  }
+
+  void barrierSnapshot(std::vector<std::uint64_t>& out) override {
+    out.assign(static_cast<std::size_t>(numPes_), 0);
+    for (int to = 0; to < numPes_; ++to) {
+      if (LinkOut* lk = linkOutIfExists(lo_, to)) {
+        std::lock_guard<std::mutex> g(lk->m);
+        out[static_cast<std::size_t>(to)] = lk->nextSeq;
+      }
+    }
+  }
+
+  bool barrierPassed(const std::vector<std::uint64_t>& snap) override {
+    for (int to = 0; to < numPes_; ++to) {
+      const std::uint64_t upTo = snap[static_cast<std::size_t>(to)];
+      if (upTo == 0) continue;
+      {
+        std::lock_guard<std::mutex> g(m_);
+        const std::uint64_t low = sender_.lowestUnackedSeq(lo_, to);
+        if (low != 0 && low <= upTo) return false;
+      }
+      // Tokens still coalescing (or gate-parked) in the outbox are not in
+      // the sender window yet — lowestUnackedSeq alone would pass early.
+      // (A nonzero snapshot means the link has sent, so its outbox exists.)
+      LinkOut& lk = *linkOutIfExists(lo_, to);
+      std::lock_guard<std::mutex> g(lk.m);
+      if (lk.freshCount > 0 && lk.firstFreshSeq <= upTo) return false;
+    }
+    return true;
+  }
+
  private:
   /// One (src,dst) link's sender state: the coalescing outbox (header
   /// space + up to kBatchMaxTokens records) and the wire image of every
   /// unacked record, keyed by link seq, for retransmission. Single fresh
   /// producer (worker src); the timer thread appends retransmits and the
-  /// receiver thread for src erases acked images — all under m.
+  /// receiver thread erases acked images — all under m.
   struct LinkOut {
     std::mutex m;
     std::uint8_t buf[kBatchMaxBytes];
@@ -570,6 +739,10 @@ class UdpTransport final : public Transport {
     int freshCount = 0;  // suffix of count that is first-send (not retx)
     std::uint64_t firstFreshSeq = 0;
     std::uint64_t nextSeq = 0;  // last assigned link sequence
+    /// Output-commit gate: log stream position that must be stable before
+    /// this outbox may hit the wire (high-water over its parked tokens).
+    /// Stays 0 without a WorkerLink.
+    std::uint64_t gateSeq = 0;
     std::unordered_map<std::uint64_t,
                        std::array<std::uint8_t, kTokenWireBytes>>
         unackedWire;
@@ -584,6 +757,23 @@ class UdpTransport final : public Transport {
         retxQ;
     bool retxArmed = false;
     Clock::time_point armedDue{};
+  };
+
+  /// Ack gating state for one source PE (WorkerLink only). The receiver
+  /// thread deposits and wire-dedups but never acks fresh tokens; the
+  /// worker thread reports each drain (with its Recv record's stream
+  /// position) and pumpAcks() moves entries into the ackable window `win`
+  /// once the supervisor has made their records stable.
+  struct AckState {
+    std::mutex m;
+    struct Pend {
+      std::uint64_t seq;
+      std::uint64_t logSeq;
+    };
+    std::deque<Pend> pend;
+    proto::Delivery win;      // ackable window: stable-logged seqs only
+    std::uint8_t epoch = 0;   // sender incarnation the window belongs to
+    std::atomic<bool> due{false};
   };
 
   enum class FlushWhy : std::uint8_t { Full, Drain, Deadline, Retx };
@@ -602,7 +792,26 @@ class UdpTransport final : public Transport {
     }
   };
 
-  static std::string errnoStr() { return std::strerror(errno); }
+  static sockaddr_in loopback(std::uint16_t port) {
+    sockaddr_in sa{};
+    sa.sin_family = AF_INET;
+    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    sa.sin_port = htons(port);
+    return sa;
+  }
+
+  bool isLocal(int pe) const { return pe >= lo_ && pe < lo_ + nLocal_; }
+
+  int fdOf(int localPe) const {
+    return fds_[static_cast<std::size_t>(localPe - lo_)];
+  }
+
+  /// Highest sender incarnation `localPe` has seen from `src`. Receiver
+  /// thread only (+ pre-start primeRecv).
+  std::uint8_t& knownEpoch(int localPe, int src) {
+    return knownEpoch_[static_cast<std::size_t>(localPe - lo_) * numPes_ +
+                       static_cast<std::size_t>(src)];
+  }
 
   LinkStat& link(int fromPe, int toPe) {
     return links_[static_cast<std::size_t>(fromPe * numPes_ + toPe)];
@@ -626,28 +835,38 @@ class UdpTransport final : public Transport {
     return *lk;
   }
 
-  LinkOut* linkOutIfExists(int fromPe, int toPe) {
+  LinkOut* linkOutIfExists(int fromPe, int toPe) const {
     return outSlots_[slot(fromPe, toPe)].load(std::memory_order_acquire);
   }
 
-  void closeAll() {
-    for (int& fd : fds_) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
-    fds_.clear();
+  bool startFailed(std::string* err, const char* what) {
+    if (err)
+      *err = std::string(name()) + " transport: " + what + ": " +
+             std::strerror(errno);
+    closeSockets();
+    return false;
   }
 
-  /// Raw datagram transmission from `fromPe`'s socket. EINTR always
-  /// retries; a transiently full stack (EAGAIN/ENOBUFS) gets a few yields
-  /// before the failure is counted and treated as network loss — the
-  /// retransmit timers recover token batches, re-acking recovers acks.
-  void rawSend(int fromPe, const sockaddr_in& to, socklen_t toLen,
-               const void* data, std::size_t len) {
+  /// Closes the sockets this driver bound (an inherited socket belongs to
+  /// the supervisor) and the stop eventfd.
+  void closeSockets() {
+    if (inheritedFd_ < 0)
+      for (const int fd : fds_) ::close(fd);
+    fds_.clear();
+    if (wakeFd_ >= 0) ::close(wakeFd_);
+    wakeFd_ = -1;
+  }
+
+  /// Raw datagram transmission from local PE `fromPe`'s socket. EINTR
+  /// always retries; a transiently full stack (EAGAIN/ENOBUFS) gets a few
+  /// yields before the failure is counted and treated as network loss —
+  /// the retransmit timers recover token batches, re-acking recovers acks.
+  void rawSend(int fromPe, int toPe, const void* data, std::size_t len) {
+    const sockaddr_in& to = addrs_[static_cast<std::size_t>(toPe)];
     for (int attempt = 0;; ++attempt) {
       const ssize_t n =
-          ::sendto(fds_[static_cast<std::size_t>(fromPe)], data, len, 0,
-                   reinterpret_cast<const sockaddr*>(&to), toLen);
+          ::sendto(fdOf(fromPe), data, len, 0,
+                   reinterpret_cast<const sockaddr*>(&to), sizeof to);
       if (n >= 0) return;
       if (errno == EINTR) continue;
       if ((errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) &&
@@ -662,8 +881,7 @@ class UdpTransport final : public Transport {
 
   void xmitWire(int fromPe, int toPe, const std::uint8_t* data,
                 std::size_t len) {
-    rawSend(fromPe, addrs_[static_cast<std::size_t>(toPe)],
-            sizeof(sockaddr_in), data, len);
+    rawSend(fromPe, toPe, data, len);
     LinkStat& l = link(fromPe, toPe);
     l.datagrams.fetch_add(1);
     l.bytes.fetch_add(static_cast<std::int64_t>(len));
@@ -718,10 +936,11 @@ class UdpTransport final : public Transport {
     if (newFront) timerCv_.notify_one();
   }
 
-  void armFlushTimer(int fromPe, int toPe) {
+  void pushLinkTimer(TimerEv::Kind kind, Clock::time_point due, int fromPe,
+                     int toPe) {
     TimerEv ev;
-    ev.due = Clock::now() + micros(kFlushDeadlineUs);
-    ev.kind = TimerEv::Kind::Flush;
+    ev.due = due;
+    ev.kind = kind;
     ev.fromPe = fromPe;
     ev.toPe = toPe;
     pushTimerEv(std::move(ev));
@@ -730,7 +949,8 @@ class UdpTransport final : public Transport {
   /// Ships the (fromPe,toPe) outbox as one datagram: snapshot + reset the
   /// outbox under lk.m, register the fresh tokens' retransmit state under
   /// m_, then transmit with no lock held. Returns without sending when a
-  /// concurrent flush already emptied the outbox.
+  /// concurrent flush already emptied the outbox, or while the output
+  /// commit gate holds it.
   void flushLink(int fromPe, int toPe, FlushWhy why) {
     LinkOut* lkp = linkOutIfExists(fromPe, toPe);
     if (!lkp) return;
@@ -743,22 +963,19 @@ class UdpTransport final : public Transport {
     {
       std::lock_guard<std::mutex> g(lk.m);
       if (lk.count == 0) return;
+      if (link_ && link_->logStable() < lk.gateSeq) {
+        // Output commit: the log prefix behind these sends is not stable
+        // yet. Retried by the worker loop's poll and onStableAdvance().
+        gatedFlushes_.fetch_add(1);
+        return;
+      }
       count = lk.count;
       fresh = lk.freshCount;
       firstFreshSeq = lk.firstFreshSeq;
-      if (count == 1) {
-        // Bare legacy token datagram: bit-identical to the pre-batching
-        // wire format.
-        len = kTokenWireBytes;
-        std::memcpy(dgram, lk.buf + kBatchHeaderBytes, len);
-      } else {
-        lk.buf[0] = kTypeBatch;
-        put16(lk.buf + 1, static_cast<std::uint16_t>(fromPe));
-        put16(lk.buf + 3, static_cast<std::uint16_t>(count));
-        len = kBatchHeaderBytes +
-              static_cast<std::size_t>(count) * kTokenWireBytes;
-        std::memcpy(dgram, lk.buf, len);
-      }
+      putBatchHeader(lk.buf, static_cast<std::uint16_t>(fromPe), count,
+                     epoch_);
+      len = batchBytes(count);
+      std::memcpy(dgram, lk.buf, len);
       lk.count = 0;
       lk.freshCount = 0;
       dirtySrc_[fromPe].fetch_sub(1, std::memory_order_release);
@@ -787,14 +1004,7 @@ class UdpTransport final : public Transport {
           arm = true;
         }
       }
-      if (arm) {
-        TimerEv ev;
-        ev.due = due;
-        ev.kind = TimerEv::Kind::Retx;
-        ev.fromPe = fromPe;
-        ev.toPe = toPe;
-        pushTimerEv(std::move(ev));
-      }
+      if (arm) pushLinkTimer(TimerEv::Kind::Retx, due, fromPe, toPe);
     }
     switch (why) {
       case FlushWhy::Full: flushFull_.fetch_add(1); break;
@@ -881,10 +1091,12 @@ class UdpTransport final : public Transport {
       }
     }
     if (gaveUpAttempt != 0) {
-      sink_.transportFail(
-          "udp transport: reliable delivery gave up on a token from worker " +
-          std::to_string(fromPe) + " to worker " + std::to_string(toPe) +
-          " after " + std::to_string(gaveUpAttempt) + " attempts");
+      sink_.transportFail(std::string(name()) +
+                          " transport: reliable delivery gave up on a token "
+                          "from worker " +
+                          std::to_string(fromPe) + " to worker " +
+                          std::to_string(toPe) + " after " +
+                          std::to_string(gaveUpAttempt) + " attempts");
     }
     if (!again.empty()) requeueRetransmits(fromPe, toPe, again);
     bool arm = false;
@@ -904,26 +1116,22 @@ class UdpTransport final : public Transport {
         lk.retxArmed = false;
       }
     }
-    if (arm) {
-      TimerEv ev;
-      ev.due = due;
-      ev.kind = TimerEv::Kind::Retx;
-      ev.fromPe = fromPe;
-      ev.toPe = toPe;
-      pushTimerEv(std::move(ev));
-    }
+    if (arm) pushLinkTimer(TimerEv::Kind::Retx, due, fromPe, toPe);
   }
 
-  /// One cumulative ack datagram for the (srcPe -> ackerPe) link, rolled
-  /// through the same fault dice as data (lossy-ack model; Delay is
-  /// treated as Deliver — re-acking already covers lateness).
-  void sendCumAck(int ackerPe, const sockaddr_in& to, socklen_t toLen,
-                  const proto::Delivery::CumAckView& view) {
+  /// One cumulative ack datagram from local PE `ackerPe` for the stream
+  /// `srcPe` sends it under incarnation `epoch`, rolled through the same
+  /// fault dice as data (lossy-ack model; Delay is treated as Deliver —
+  /// re-acking already covers lateness).
+  void sendCumAck(int ackerPe, int srcPe,
+                  const proto::Delivery::CumAckView& view,
+                  std::uint8_t epoch) {
     std::uint8_t pkt[kCumAckWireBytes];
     pkt[0] = kTypeCumAck;
     put16(pkt + 1, static_cast<std::uint16_t>(ackerPe));
     put64(pkt + 3, view.cum);
     put64(pkt + 11, view.bitmap);
+    pkt[19] = epoch;
     int copies = 1;
     if (plan_.enabled()) {
       switch (plan_.action(txSeq_.fetch_add(1) + 1)) {
@@ -940,185 +1148,180 @@ class UdpTransport final : public Transport {
       }
     }
     for (int i = 0; i < copies; ++i) {
-      rawSend(ackerPe, to, toLen, pkt, sizeof pkt);
+      rawSend(ackerPe, srcPe, pkt, sizeof pkt);
       acksSent_.fetch_add(1);
     }
   }
 
-  /// Receiver loop: one thread polls every PE's socket — the machine's
-  /// "NIC". Answers token-carrying datagrams with cumulative acks
-  /// (re-acking duplicates so a lost ack self-heals), suppresses
-  /// duplicates through the destination PE's protocol-core link windows
-  /// (touched only by this thread), and deposits first copies into the
-  /// owner's inbox via the service lane — one thread for all PEs keeps
-  /// the single-producer-per-lane invariant trivially true and the
-  /// machine's thread count (and context-switch pressure) flat in PEs.
-  /// Also receives cumulative acks for batches each PE sent.
-  void recvMain() {
+  /// Per-thread scratch for the receiver loop.
+  struct RxScratch {
     std::uint8_t buf[2048];
     std::vector<NToken> toks;
-    std::vector<NToken> freshToks;
-    // Lazy cumulative acks, per (dstPe, srcPe): a partial batch ends a
-    // burst and a duplicate means the sender is already retransmitting —
-    // both ack immediately. A stream of FULL batches acks only every
-    // kAckLazyTokens tokens (~every 3rd datagram), cutting ack traffic on
-    // hot links by two thirds. A full-batch tail that never sees a
-    // partial flush is healed by the sender's retransmit: the duplicates
-    // force an immediate ack.
-    std::vector<std::int64_t> sinceAck(
-        static_cast<std::size_t>(numPes_) * numPes_, 0);
-    std::vector<pollfd> pfds(static_cast<std::size_t>(numPes_));
-    for (int pe = 0; pe < numPes_; ++pe) {
-      pfds[static_cast<std::size_t>(pe)].fd = fds_[static_cast<std::size_t>(pe)];
-      pfds[static_cast<std::size_t>(pe)].events = POLLIN;
-    }
-    bool stopping = false;
-    while (!stopping) {
-      const int nready =
-          ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 20);
-      if (nready < 0) {
+    std::vector<NToken> fresh;
+    /// Tokens received per (local dst, src) link since its last ack (the
+    /// lazy full-batch rule of the ack-on-receipt policy).
+    std::vector<std::int64_t> sinceAck;
+  };
+
+  /// Receiver loop: one thread polls every local socket — the machine's
+  /// "NIC" — and deposits first copies into the owner's inbox via the
+  /// service lane. One thread for all PEs keeps the single-producer-per-
+  /// lane invariant trivially true and the machine's thread count (and
+  /// context-switch pressure) flat in PEs. stop() wakes it through the
+  /// eventfd.
+  void recvMain() {
+    RxScratch rs;
+    rs.sinceAck.assign(static_cast<std::size_t>(nLocal_) * numPes_, 0);
+    std::vector<pollfd> pfds(static_cast<std::size_t>(nLocal_) + 1);
+    for (int i = 0; i < nLocal_; ++i)
+      pfds[static_cast<std::size_t>(i)] = {fds_[static_cast<std::size_t>(i)],
+                                           POLLIN, 0};
+    pfds.back() = {wakeFd_, POLLIN, 0};
+    for (;;) {
+      if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1) < 0) {
         if (errno == EINTR) continue;
-        return;  // sockets gone: shutdown path
+        break;
       }
-      if (nready == 0) {
-        if (rxStop_.load()) break;
-        continue;
-      }
-      for (int pe = 0; pe < numPes_; ++pe) {
-        if (!(pfds[static_cast<std::size_t>(pe)].revents & POLLIN)) continue;
-        for (;;) {
-          sockaddr_in src{};
-          socklen_t srcLen = sizeof src;
-          const ssize_t n = ::recvfrom(
-              fds_[static_cast<std::size_t>(pe)], buf, sizeof buf,
-              MSG_DONTWAIT, reinterpret_cast<sockaddr*>(&src), &srcLen);
-          if (n < 0) {
-            if (errno == EINTR) continue;
-            break;  // EAGAIN: this socket is drained
-          }
-          if (n < 1) continue;
-          if (!handleDatagram(pe, buf, static_cast<std::size_t>(n), src,
-                              srcLen, toks, freshToks, sinceAck))
-            stopping = true;  // shutdown wake-up observed after rxStop_
-        }
-      }
+      if (pfds.back().revents != 0) break;  // stop()
+      for (int i = 0; i < nLocal_; ++i)
+        if (pfds[static_cast<std::size_t>(i)].revents != 0)
+          drainSocket(lo_ + i, rs);
     }
-    // The shutdown wake on one socket can overtake acks (or late
-    // retransmits) still queued on another — every sendto already made
-    // loopback delivery, so one non-blocking sweep drains the ledgers dry
-    // and acksSent/acksRecv close exactly on a fault-free run.
-    for (int pe = 0; pe < numPes_; ++pe) {
-      for (;;) {
-        sockaddr_in src{};
-        socklen_t srcLen = sizeof src;
-        const ssize_t n = ::recvfrom(
-            fds_[static_cast<std::size_t>(pe)], buf, sizeof buf,
-            MSG_DONTWAIT, reinterpret_cast<sockaddr*>(&src), &srcLen);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          break;
-        }
-        if (n < 1) continue;
-        handleDatagram(pe, buf, static_cast<std::size_t>(n), src, srcLen,
-                       toks, freshToks, sinceAck);
+    // stop() runs after every worker has joined, so every sendto already
+    // made loopback delivery: one non-blocking sweep drains acks (and late
+    // retransmits) still queued behind the wake, and acksSent/acksRecv
+    // close exactly on a fault-free in-process run.
+    for (int i = 0; i < nLocal_; ++i) drainSocket(lo_ + i, rs);
+  }
+
+  /// Handles every datagram queued on local PE `pe`'s socket.
+  void drainSocket(int pe, RxScratch& rs) {
+    for (;;) {
+      const ssize_t n =
+          ::recv(fdOf(pe), rs.buf, sizeof rs.buf, MSG_DONTWAIT);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return;  // EAGAIN: this socket is drained
+      }
+      if (n < 1) continue;
+      datagramsRecv_.fetch_add(1);
+      bytesRecv_.fetch_add(n);
+      const std::size_t len = static_cast<std::size_t>(n);
+      switch (rs.buf[0]) {
+        case kTypeBatch: onBatch(pe, len, rs); break;
+        case kTypeCumAck: onCumAck(pe, rs.buf, len); break;
+        default: badDatagrams_.fetch_add(1); break;
       }
     }
   }
 
-  /// Processes one datagram addressed to `pe`. Returns false only for the
-  /// shutdown wake-up after stop() raised rxStop_.
-  bool handleDatagram(int pe, std::uint8_t* buf, std::size_t n,
-                      const sockaddr_in& src, socklen_t srcLen,
-                      std::vector<NToken>& toks,
-                      std::vector<NToken>& freshToks,
-                      std::vector<std::int64_t>& sinceAck) {
-    proto::Delivery& rx = rx_[static_cast<std::size_t>(pe)];
-    datagramsRecv_.fetch_add(1);
-    bytesRecv_.fetch_add(static_cast<std::int64_t>(n));
-    switch (buf[0]) {
-        case kTypeToken:
-      case kTypeBatch: {
-        std::uint16_t srcPe = 0;
-        if (!wireDecodeBatch(buf, n, toks, &srcPe) || srcPe >= numPes_) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        freshToks.clear();
-        for (NToken& tok : toks) {
-          const std::uint64_t seq = proto::Delivery::linkMsgIdSeq(tok.msgId);
-          if (rx.acceptSeq(srcPe, pe, seq))
-            freshToks.push_back(std::move(tok));
-        }
-        // The ack (when due) is composed after the window update and
-        // sent before the deposits, so at termination the final ack is
-        // already in flight toward the sender's socket.
-        const bool full = static_cast<int>(toks.size()) == kBatchMaxTokens;
-        const bool hadDup = freshToks.size() != toks.size();
-        std::int64_t& since =
-            sinceAck[static_cast<std::size_t>(pe) * numPes_ + srcPe];
-        since += static_cast<std::int64_t>(toks.size());
-        if (!full || hadDup || since >= kAckLazyTokens) {
-          rx.count(proto::kAcks);
-          sendCumAck(pe, src, srcLen, rx.cumAckView(srcPe, pe));
-          since = 0;
-        }
-        for (NToken& tok : freshToks) {
-          // Receiver dedup MUST precede the ring deposit: a retransmitted
-          // token that reached the inbox twice would double-release its
-          // single quiescence charge.
-          PODS_CHECK_MSG(
-              rx.seenSeq(srcPe, pe, proto::Delivery::linkMsgIdSeq(tok.msgId)),
-              "udp transport: token deposited before dedup recorded it");
-          sink_.deposit(pe, numPes_, std::move(tok));
-        }
-        break;
-      }
-      case kTypeCumAck: {
-        if (n != kCumAckWireBytes) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        const std::uint16_t acker = get16(buf + 1);
-        if (acker >= numPes_) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        acksRecv_.fetch_add(1);
-        const std::uint64_t cum = get64(buf + 3);
-        const std::uint64_t bitmap = get64(buf + 11);
-        std::vector<std::uint64_t> retired;
-        {
-          std::lock_guard<std::mutex> g(m_);
-          retired = sender_.onCumAck(pe, acker, cum, bitmap);
-        }
-        if (!retired.empty()) {
-          if (LinkOut* lk = linkOutIfExists(pe, acker)) {
-            std::lock_guard<std::mutex> g(lk->m);
-            for (const std::uint64_t id : retired)
-              lk->unackedWire.erase(proto::Delivery::linkMsgIdSeq(id));
-          }
-        }
-        break;
-      }
-      case kTypeShutdown:
-        // Teardown trust: the shutdown wake-up is only ever self-sent from
-        // this PE's own socket in stop(). Accepting it from an arbitrary
-        // endpoint would let any process that discovers the ephemeral port
-        // wedge the receiver sweep early — validate the sender.
-        if (src.sin_addr.s_addr !=
-                addrs_[static_cast<std::size_t>(pe)].sin_addr.s_addr ||
-            src.sin_port != addrs_[static_cast<std::size_t>(pe)].sin_port) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        if (rxStop_.load()) return false;
-        break;
-      case kTypeLegacyAck:  // retired per-message ack: reject, don't parse
-      default:
-        badDatagrams_.fetch_add(1);
-        break;
+  /// A batch datagram for local PE `pe`: epoch window, receive dedup, the
+  /// ack policy, then deposits.
+  void onBatch(int pe, std::size_t n, RxScratch& rs) {
+    std::uint16_t srcPe = 0;
+    if (!wireDecodeBatch(rs.buf, n, rs.toks, &srcPe) || srcPe >= numPes_ ||
+        srcPe == pe) {
+      badDatagrams_.fetch_add(1);
+      return;
     }
-    return true;
+    const std::uint8_t e = rs.toks.front().epoch;
+    std::uint8_t& known = knownEpoch(pe, srcPe);
+    if (e < known) {
+      // The sender of this datagram is dead; its reborn successor
+      // renumbered the link. Nothing from the old stream may touch the new
+      // windows.
+      staleEpoch_.fetch_add(1);
+      return;
+    }
+    proto::Delivery& rx = rx_[static_cast<std::size_t>(pe - lo_)];
+    if (e > known) {
+      known = e;
+      rx.resetRecvLink(srcPe, pe);
+      if (link_) {
+        AckState& ack = *acks_[srcPe];
+        std::lock_guard<std::mutex> g(ack.m);
+        ack.pend.clear();
+        ack.win = proto::Delivery();
+        ack.epoch = e;
+      }
+    }
+    rs.fresh.clear();
+    for (NToken& tok : rs.toks) {
+      if (rx.acceptSeq(srcPe, pe, proto::Delivery::linkMsgIdSeq(tok.msgId)))
+        rs.fresh.push_back(std::move(tok));
+    }
+    // The ack (when due) is composed after the window update and sent
+    // before the deposits, so at termination the final ack is already in
+    // flight toward the sender's socket.
+    const bool hadDup = rs.fresh.size() != rs.toks.size();
+    if (link_) {
+      // Fresh tokens wait for noteDrained -> pumpAcks. A duplicate means
+      // the sender is retransmitting: re-ack the stable window now (it
+      // never covers unlogged tokens).
+      if (hadDup) {
+        AckState& ack = *acks_[srcPe];
+        proto::Delivery::CumAckView view;
+        std::uint8_t ackEpoch = 0;
+        {
+          std::lock_guard<std::mutex> g(ack.m);
+          view = ack.win.cumAckView(srcPe, pe);
+          ackEpoch = ack.epoch;
+        }
+        sendCumAck(pe, srcPe, view, ackEpoch);
+      }
+    } else {
+      const bool full = static_cast<int>(rs.toks.size()) == kBatchMaxTokens;
+      std::int64_t& since =
+          rs.sinceAck[static_cast<std::size_t>(pe - lo_) * numPes_ + srcPe];
+      since += static_cast<std::int64_t>(rs.toks.size());
+      if (!full || hadDup || since >= kAckLazyTokens) {
+        rx.count(proto::kAcks);
+        sendCumAck(pe, srcPe, rx.cumAckView(srcPe, pe), e);
+        since = 0;
+      }
+    }
+    for (NToken& tok : rs.fresh) {
+      // Receiver dedup MUST precede the ring deposit: a retransmitted
+      // token that reached the inbox twice would double-release its
+      // single quiescence charge.
+      PODS_CHECK_MSG(
+          rx.seenSeq(srcPe, pe, proto::Delivery::linkMsgIdSeq(tok.msgId)),
+          "udp transport: token deposited before dedup recorded it");
+      sink_.deposit(pe, numPes_, std::move(tok));
+    }
+  }
+
+  /// A cumulative ack for the stream local PE `pe` sends to the acker.
+  void onCumAck(int pe, const std::uint8_t* buf, std::size_t n) {
+    if (n != kCumAckWireBytes) {
+      badDatagrams_.fetch_add(1);
+      return;
+    }
+    const std::uint16_t acker = get16(buf + 1);
+    if (acker >= numPes_ || acker == pe) {
+      badDatagrams_.fetch_add(1);
+      return;
+    }
+    if (buf[19] != epoch_) {
+      // An ack for a previous incarnation of this process: its seq numbers
+      // refer to the dead stream and would wrongly retire the renumbered
+      // fresh sends.
+      staleAcks_.fetch_add(1);
+      return;
+    }
+    acksRecv_.fetch_add(1);
+    std::vector<std::uint64_t> retired;
+    {
+      std::lock_guard<std::mutex> g(m_);
+      retired = sender_.onCumAck(pe, acker, get64(buf + 3), get64(buf + 11));
+    }
+    if (!retired.empty()) {
+      if (LinkOut* lk = linkOutIfExists(pe, acker)) {
+        std::lock_guard<std::mutex> g(lk->m);
+        for (const std::uint64_t id : retired)
+          lk->unackedWire.erase(proto::Delivery::linkMsgIdSeq(id));
+      }
+    }
   }
 
   /// Timer loop: drives flush deadlines for partially-filled outboxes,
@@ -1143,23 +1346,19 @@ class UdpTransport final : public Transport {
         std::pop_heap(heap_.begin(), heap_.end(), EvLater{});
         TimerEv ev = std::move(heap_.back());
         heap_.pop_back();
+        g.unlock();
         switch (ev.kind) {
           case TimerEv::Kind::Flush:
-            g.unlock();
             flushLink(ev.fromPe, ev.toPe, FlushWhy::Deadline);
-            g.lock();
             break;
           case TimerEv::Kind::DelayedWire:
-            g.unlock();
             xmitWire(ev.fromPe, ev.toPe, ev.wire.data(), ev.wire.size());
-            g.lock();
             break;
           case TimerEv::Kind::Retx:
-            g.unlock();
             fireRetx(ev.fromPe, ev.toPe);
-            g.lock();
             break;
         }
+        g.lock();
       }
     }
   }
@@ -1167,22 +1366,31 @@ class UdpTransport final : public Transport {
   TransportSink& sink_;
   FaultPlan plan_;
   const int numPes_;
+  /// Local PEs are [lo_, lo_ + nLocal_): every PE in-process, the worker's
+  /// own PE in multi-process mode.
+  const int lo_;
+  const int nLocal_;
+  const std::uint8_t epoch_;  // this process's incarnation (0 in-process)
+  const int inheritedFd_;     // supervisor-bound socket, or -1
+  WorkerLink* const link_;
   std::vector<LinkStat> links_;
   /// Protocol core endpoints: sender half under m_, one receiver half per
-  /// PE owned by its receiver thread (read by addStats after join).
+  /// local PE owned by the receiver thread (read by addStats after join).
   proto::Delivery sender_;
   std::vector<proto::Delivery> rx_;
+  std::vector<std::uint8_t> knownEpoch_;  // see knownEpoch()
+  std::vector<std::unique_ptr<AckState>> acks_;  // per source; link_ only
+  std::vector<sockaddr_in> addrs_;  // every PE's socket address
   /// Per-link outboxes (lazily allocated; see linkOut) and a per-source
   /// count of non-empty ones so the worker-loop flush is one atomic load
   /// when nothing is pending.
   std::unique_ptr<std::atomic<LinkOut*>[]> outSlots_;
   std::unique_ptr<std::atomic<int>[]> dirtySrc_;
 
-  std::vector<int> fds_;
-  std::vector<sockaddr_in> addrs_;
+  std::vector<int> fds_;  // local sockets, indexed by pe - lo_
+  int wakeFd_ = -1;       // eventfd: stop() wakes the receiver through it
   std::thread rxThread_;
   std::thread timerThread_;
-  std::atomic<bool> rxStop_{false};
 
   mutable std::mutex m_;  // guards heap_, timerStop_, sender_
   std::condition_variable timerCv_;
@@ -1190,801 +1398,6 @@ class UdpTransport final : public Transport {
   bool timerStop_ = false;
 
   std::atomic<std::uint64_t> txSeq_{0};
-  std::atomic<std::int64_t> tokensSent_{0};
-  std::atomic<std::int64_t> datagramsSent_{0};
-  std::atomic<std::int64_t> bytesSent_{0};
-  std::atomic<std::int64_t> datagramsRecv_{0};
-  std::atomic<std::int64_t> bytesRecv_{0};
-  std::atomic<std::int64_t> acksSent_{0};
-  std::atomic<std::int64_t> acksRecv_{0};
-  std::atomic<std::int64_t> sendErrors_{0};
-  std::atomic<std::int64_t> badDatagrams_{0};
-  std::atomic<std::int64_t> batchDgrams_{0};
-  std::atomic<std::int64_t> batchTokens_{0};
-  std::atomic<std::int64_t> flushFull_{0};
-  std::atomic<std::int64_t> flushDeadline_{0};
-  std::atomic<std::int64_t> flushDrain_{0};
-  std::atomic<std::int64_t> flushRetx_{0};
-  std::atomic<std::int64_t> faultDrops_{0};
-  std::atomic<std::int64_t> faultDups_{0};
-  std::atomic<std::int64_t> faultDelays_{0};
-};
-
-// ---------------------------------------------------------------------------
-// UdpMultiprocTransport: the worker-process side of --transport=udp-multiproc.
-//
-// Same batch/cumulative-ack protocol as UdpTransport, with four differences
-// forced by PEs being separate killable processes:
-//
-//   socket   this process owns exactly ONE socket, created+bound by the
-//            supervisor and inherited across fork. The supervisor keeps its
-//            own fd copy, so the port binding and any datagrams buffered in
-//            the kernel survive a kill -9 of this process — the socket is
-//            the paper's "NIC outlives the PE". Peers are addressed by the
-//            fixed loopback port table from the Boot message.
-//   epochs   every data datagram and ack carries the sender incarnation.
-//            A respawned worker boots with epoch+1 and renumbers all of its
-//            links from seq 1; receivers reset the link's receive window the
-//            first time they see a higher epoch from a source (the logical
-//            dedup ledgers absorb the replayed payloads), and a reborn
-//            sender drops acks stamped with its predecessor's epoch.
-//   output   a token may be ACKED only once its Recv record is stable at
-//   commit   the supervisor (an acked-but-unlogged token would never be
-//            retransmitted and would vanish with the next kill), and an
-//            outbox may be FLUSHED only once the log records that preceded
-//            the sends are stable (the NEWCTX/ALLOC mints behind a send are
-//            not replay-stable until logged). Both gates hang off the
-//            WorkerLink stable watermark and are retried by the worker
-//            loop's 1 ms poll and by onStableAdvance().
-//   faults   no datagram dice: fault injection (including the kill plan)
-//            is the SUPERVISOR's job in this mode — it SIGKILLs whole
-//            processes; drop/dup/delay arrive zeroed in the worker's
-//            FaultConfig (the retry policy rides along unchanged).
-// ---------------------------------------------------------------------------
-
-class UdpMultiprocTransport final : public Transport {
- public:
-  UdpMultiprocTransport(TransportSink& sink, const FaultPlan& plan, int numPes,
-                        int localPe, std::uint8_t epoch, int sockFd,
-                        const std::vector<std::uint16_t>& peerPorts,
-                        WorkerLink* link)
-      : sink_(sink),
-        numPes_(numPes),
-        me_(localPe),
-        epoch_(epoch),
-        fd_(sockFd),
-        link_(link),
-        links_(static_cast<std::size_t>(numPes) * numPes),
-        sender_(plan.config().retry, plan.enabled()),
-        rx_(plan.config().retry, plan.enabled()),
-        knownEpoch_(static_cast<std::size_t>(numPes), 0) {
-    addrs_.assign(static_cast<std::size_t>(numPes), sockaddr_in{});
-    for (int pe = 0; pe < numPes; ++pe) {
-      sockaddr_in& sa = addrs_[static_cast<std::size_t>(pe)];
-      sa.sin_family = AF_INET;
-      sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      sa.sin_port = htons(peerPorts[static_cast<std::size_t>(pe)]);
-    }
-    out_.reserve(static_cast<std::size_t>(numPes));
-    acks_.reserve(static_cast<std::size_t>(numPes));
-    for (int pe = 0; pe < numPes; ++pe) {
-      out_.push_back(std::make_unique<LinkOut>());
-      acks_.push_back(std::make_unique<AckState>());
-    }
-  }
-
-  ~UdpMultiprocTransport() override { stop(); }
-
-  const char* name() const override { return "udp-multiproc"; }
-
-  bool start(std::string* err) override {
-    if (fd_ < 0) {
-      if (err) *err = "udp-multiproc transport: no inherited socket fd";
-      return false;
-    }
-    int rcvbuf = 4 << 20;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-    // Bounded block so the receiver notices rxStop_ without a wake datagram
-    // (a respawned sibling may hold stale addresses; self-wakes are the one
-    // thing the teardown-trust rule forbids accepting blindly).
-    timeval tv{};
-    tv.tv_usec = 20000;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    rxThread_ = std::thread([this] { recvMain(); });
-    timerThread_ = std::thread([this] { timerMain(); });
-    return true;
-  }
-
-  void send(int fromPe, int toPe, NToken tok) override {
-    PODS_CHECK_MSG(fromPe == me_, "multiproc transport: send from foreign PE");
-    LinkOut& lk = *out_[static_cast<std::size_t>(toPe)];
-    link(fromPe, toPe).tokens.fetch_add(1);
-    tokensSent_.fetch_add(1);
-    bool wrote = false;
-    bool full = false;
-    bool first = false;
-    while (!wrote) {
-      {
-        std::lock_guard<std::mutex> g(lk.m);
-        if (lk.count < kBatchMaxTokens) {
-          const std::uint64_t seq = ++lk.nextSeq;
-          tok.msgId = proto::Delivery::packLinkMsgId(fromPe, toPe, seq);
-          std::uint8_t* rec =
-              lk.buf + kBatchEHeaderBytes +
-              static_cast<std::size_t>(lk.count) * kTokenWireBytes;
-          wireEncodeToken(tok, static_cast<std::uint16_t>(fromPe), rec);
-          std::memcpy(lk.unackedWire[seq].data(), rec, kTokenWireBytes);
-          // Output commit: everything this token's payload may depend on
-          // (mints, received tokens) is in the log stream by now — the
-          // batch must not hit the wire before that prefix is stable.
-          if (link_) lk.gateSeq = link_->logAppended();
-          if (lk.count == 0) {
-            first = true;
-            dirty_.fetch_add(1, std::memory_order_release);
-          }
-          if (lk.freshCount == 0) lk.firstFreshSeq = seq;
-          ++lk.count;
-          ++lk.freshCount;
-          full = lk.count == kBatchMaxTokens;
-          wrote = true;
-        }
-      }
-      if (!wrote) flushLink(toPe, FlushWhy::Full);
-    }
-    if (full)
-      flushLink(toPe, FlushWhy::Full);
-    else if (first)
-      armFlushTimer(toPe);
-  }
-
-  void flush(int fromPe) override {
-    (void)fromPe;
-    if (dirty_.load(std::memory_order_acquire) == 0) return;
-    for (int to = 0; to < numPes_; ++to) {
-      if (to == me_) continue;
-      flushLink(to, FlushWhy::Drain);
-    }
-  }
-
-  void stop() override {
-    if (!rxThread_.joinable() && !timerThread_.joinable()) return;
-    rxStop_.store(true);
-    {
-      std::lock_guard<std::mutex> g(m_);
-      timerStop_ = true;
-    }
-    timerCv_.notify_all();
-    if (rxThread_.joinable()) rxThread_.join();
-    if (timerThread_.joinable()) timerThread_.join();
-    // fd_ stays open: the supervisor owns the socket's lifetime.
-  }
-
-  void addStats(Counters& out) const override {
-    out.add("net.udp.tokensSent", tokensSent_.load());
-    out.add("net.udp.datagramsSent", datagramsSent_.load());
-    out.add("net.udp.bytesSent", bytesSent_.load());
-    out.add("net.udp.datagramsRecv", datagramsRecv_.load());
-    out.add("net.udp.bytesRecv", bytesRecv_.load());
-    out.add("net.udp.acksSent", acksSent_.load());
-    out.add("net.udp.acksRecv", acksRecv_.load());
-    out.add("net.udp.sendErrors", sendErrors_.load());
-    out.add("net.udp.badDatagrams", badDatagrams_.load());
-    out.add("net.udp.staleEpoch", staleEpoch_.load());
-    out.add("net.udp.staleAcks", staleAcks_.load());
-    out.add("net.udp.gatedFlushes", gatedFlushes_.load());
-    const std::int64_t bd = batchDgrams_.load();
-    const std::int64_t bt = batchTokens_.load();
-    out.add("net.udp.batch.datagrams", bd);
-    out.add("net.udp.batch.tokens", bt);
-    out.add("net.udp.batch.tokensPerDgram", bd > 0 ? bt / bd : 0);
-    out.add("net.udp.batch.flushFull", flushFull_.load());
-    out.add("net.udp.batch.flushDeadline", flushDeadline_.load());
-    out.add("net.udp.batch.flushDrain", flushDrain_.load());
-    out.add("net.udp.batch.flushRetx", flushRetx_.load());
-    {
-      std::lock_guard<std::mutex> g(m_);
-      sender_.addStats(out);
-    }
-    rx_.addStats(out);
-    addLinkStats(out, links_, numPes_);
-  }
-
-  // ---- Multi-process hooks -------------------------------------------
-
-  void noteDrained(std::uint64_t msgId, std::uint8_t epoch,
-                   std::uint64_t logSeq) override {
-    if (msgId == 0) return;  // local delivery: nothing to ack
-    const int src = static_cast<int>(msgId >> 56) & 0xFF;
-    AckState& ack = *acks_[static_cast<std::size_t>(src)];
-    std::lock_guard<std::mutex> g(ack.m);
-    // A token from a dead incarnation needs no ack — its sender is gone and
-    // the reborn one re-sends under the new epoch.
-    if (epoch != ack.epoch) return;
-    ack.pend.push_back({proto::Delivery::linkMsgIdSeq(msgId), logSeq});
-    ack.due.store(true, std::memory_order_release);
-  }
-
-  void pumpAcks() override {
-    const std::uint64_t stable =
-        link_ ? link_->logStable() : ~std::uint64_t{0};
-    for (int src = 0; src < numPes_; ++src) {
-      if (src == me_) continue;
-      AckState& ack = *acks_[static_cast<std::size_t>(src)];
-      if (!ack.due.load(std::memory_order_acquire)) continue;
-      proto::Delivery::CumAckView view;
-      std::uint8_t epoch = 0;
-      bool moved = false;
-      {
-        std::lock_guard<std::mutex> g(ack.m);
-        while (!ack.pend.empty() && ack.pend.front().logSeq <= stable) {
-          ack.win.acceptSeq(src, me_, ack.pend.front().seq);
-          ack.pend.pop_front();
-          moved = true;
-        }
-        if (ack.pend.empty()) ack.due.store(false, std::memory_order_release);
-        if (moved) {
-          view = ack.win.cumAckView(src, me_);
-          epoch = ack.epoch;
-        }
-      }
-      if (moved) sendCumAckE(src, view, epoch);
-    }
-  }
-
-  void onStableAdvance() override {
-    flush(me_);
-    pumpAcks();
-  }
-
-  std::int64_t outstanding() const override {
-    std::int64_t n = 0;
-    for (int to = 0; to < numPes_; ++to) {
-      if (to == me_) continue;
-      LinkOut& lk = *out_[static_cast<std::size_t>(to)];
-      std::lock_guard<std::mutex> g(lk.m);
-      n += lk.count;
-    }
-    {
-      std::lock_guard<std::mutex> g(m_);
-      n += static_cast<std::int64_t>(sender_.windowSize());
-    }
-    return n;
-  }
-
-  void primeRecv(std::uint64_t msgId, std::uint8_t epoch) override {
-    // Pre-start rebuild (no threads yet). The log replays in receive order,
-    // so per-source epochs are non-decreasing: only the newest incarnation's
-    // stream is rebuilt — older streams died with their senders.
-    const int src = static_cast<int>(msgId >> 56) & 0xFF;
-    AckState& ack = *acks_[static_cast<std::size_t>(src)];
-    if (epoch < knownEpoch_[static_cast<std::size_t>(src)]) return;
-    if (epoch > knownEpoch_[static_cast<std::size_t>(src)]) {
-      knownEpoch_[static_cast<std::size_t>(src)] = epoch;
-      rx_.resetRecvLink(src, me_);
-      ack.win = proto::Delivery();
-      ack.epoch = epoch;
-    }
-    const std::uint64_t seq = proto::Delivery::linkMsgIdSeq(msgId);
-    rx_.acceptSeq(src, me_, seq);
-    ack.win.acceptSeq(src, me_, seq);
-  }
-
-  void barrierSnapshot(std::vector<std::uint64_t>& out) override {
-    out.assign(static_cast<std::size_t>(numPes_), 0);
-    for (int to = 0; to < numPes_; ++to) {
-      if (to == me_) continue;
-      LinkOut& lk = *out_[static_cast<std::size_t>(to)];
-      std::lock_guard<std::mutex> g(lk.m);
-      out[static_cast<std::size_t>(to)] = lk.nextSeq;
-    }
-  }
-
-  bool barrierPassed(const std::vector<std::uint64_t>& snap) override {
-    for (int to = 0; to < numPes_; ++to) {
-      if (to == me_ || snap[static_cast<std::size_t>(to)] == 0) continue;
-      {
-        std::lock_guard<std::mutex> g(m_);
-        const std::uint64_t low = sender_.lowestUnackedSeq(me_, to);
-        if (low != 0 && low <= snap[static_cast<std::size_t>(to)])
-          return false;
-      }
-      // Tokens still coalescing (or gate-parked) in the outbox are not in
-      // the sender window yet — lowestUnackedSeq alone would pass early.
-      LinkOut& lk = *out_[static_cast<std::size_t>(to)];
-      std::lock_guard<std::mutex> g(lk.m);
-      if (lk.freshCount > 0 &&
-          lk.firstFreshSeq <= snap[static_cast<std::size_t>(to)])
-        return false;
-    }
-    return true;
-  }
-
- private:
-  struct LinkOut {
-    std::mutex m;
-    std::uint8_t buf[kBatchMaxBytes];
-    int count = 0;
-    int freshCount = 0;
-    std::uint64_t firstFreshSeq = 0;
-    std::uint64_t nextSeq = 0;
-    /// Output-commit gate: log stream position that must be stable before
-    /// this outbox may hit the wire (high-water over its parked tokens).
-    std::uint64_t gateSeq = 0;
-    std::unordered_map<std::uint64_t,
-                       std::array<std::uint8_t, kTokenWireBytes>>
-        unackedWire;
-    std::priority_queue<
-        std::pair<Clock::time_point, std::uint64_t>,
-        std::vector<std::pair<Clock::time_point, std::uint64_t>>,
-        std::greater<std::pair<Clock::time_point, std::uint64_t>>>
-        retxQ;
-    bool retxArmed = false;
-    Clock::time_point armedDue{};
-  };
-
-  /// Ack gating state for one source PE. The rx thread deposits and wire-
-  /// dedups but never acks fresh tokens; the worker thread reports each
-  /// drain (with its Recv record's stream position) and pumpAcks() moves
-  /// entries into the ackable window `win` once the supervisor has made
-  /// their records stable.
-  struct AckState {
-    std::mutex m;
-    struct Pend {
-      std::uint64_t seq;
-      std::uint64_t logSeq;
-    };
-    std::deque<Pend> pend;
-    proto::Delivery win;      // ackable window: stable-logged seqs only
-    std::uint8_t epoch = 0;   // sender incarnation the window belongs to
-    std::atomic<bool> due{false};
-  };
-
-  enum class FlushWhy : std::uint8_t { Full, Drain, Deadline, Retx };
-
-  struct TimerEv {
-    Clock::time_point due;
-    enum class Kind : std::uint8_t { Retx, Flush } kind = Kind::Retx;
-    int toPe = 0;
-  };
-  struct EvLater {
-    bool operator()(const TimerEv& a, const TimerEv& b) const {
-      return a.due > b.due;
-    }
-  };
-
-  LinkStat& link(int fromPe, int toPe) {
-    return links_[static_cast<std::size_t>(fromPe * numPes_ + toPe)];
-  }
-
-  void rawSend(const sockaddr_in& to, const void* data, std::size_t len) {
-    for (int attempt = 0;; ++attempt) {
-      const ssize_t n = ::sendto(fd_, data, len, 0,
-                                 reinterpret_cast<const sockaddr*>(&to),
-                                 sizeof to);
-      if (n >= 0) return;
-      if (errno == EINTR) continue;
-      if ((errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) &&
-          attempt < 4) {
-        std::this_thread::yield();
-        continue;
-      }
-      sendErrors_.fetch_add(1);
-      return;
-    }
-  }
-
-  void xmitWire(int toPe, const std::uint8_t* data, std::size_t len) {
-    rawSend(addrs_[static_cast<std::size_t>(toPe)], data, len);
-    LinkStat& l = link(me_, toPe);
-    l.datagrams.fetch_add(1);
-    l.bytes.fetch_add(static_cast<std::int64_t>(len));
-    datagramsSent_.fetch_add(1);
-    bytesSent_.fetch_add(static_cast<std::int64_t>(len));
-  }
-
-  void pushTimerEv(TimerEv ev) {
-    bool newFront = false;
-    {
-      std::lock_guard<std::mutex> g(m_);
-      newFront = heap_.empty() || ev.due < heap_.front().due;
-      heap_.push_back(std::move(ev));
-      std::push_heap(heap_.begin(), heap_.end(), EvLater{});
-    }
-    if (newFront) timerCv_.notify_one();
-  }
-
-  void armFlushTimer(int toPe) {
-    TimerEv ev;
-    ev.due = Clock::now() + micros(kFlushDeadlineUs);
-    ev.kind = TimerEv::Kind::Flush;
-    ev.toPe = toPe;
-    pushTimerEv(std::move(ev));
-  }
-
-  void flushLink(int toPe, FlushWhy why) {
-    LinkOut& lk = *out_[static_cast<std::size_t>(toPe)];
-    std::uint8_t dgram[kBatchMaxBytes];
-    std::size_t len = 0;
-    int count = 0;
-    int fresh = 0;
-    std::uint64_t firstFreshSeq = 0;
-    {
-      std::lock_guard<std::mutex> g(lk.m);
-      if (lk.count == 0) return;
-      if (link_ && link_->logStable() < lk.gateSeq) {
-        // Output commit: the log prefix behind these sends is not stable
-        // yet. Retried by the worker loop's poll and onStableAdvance().
-        gatedFlushes_.fetch_add(1);
-        return;
-      }
-      count = lk.count;
-      fresh = lk.freshCount;
-      firstFreshSeq = lk.firstFreshSeq;
-      lk.buf[0] = kTypeBatchE;
-      put16(lk.buf + 1, static_cast<std::uint16_t>(me_));
-      put16(lk.buf + 3, static_cast<std::uint16_t>(count));
-      lk.buf[5] = epoch_;
-      len = kBatchEHeaderBytes +
-            static_cast<std::size_t>(count) * kTokenWireBytes;
-      std::memcpy(dgram, lk.buf, len);
-      lk.count = 0;
-      lk.freshCount = 0;
-      dirty_.fetch_sub(1, std::memory_order_release);
-    }
-    if (fresh > 0) {
-      const std::uint64_t firstMsgId =
-          proto::Delivery::packLinkMsgId(me_, toPe, firstFreshSeq);
-      {
-        std::lock_guard<std::mutex> g(m_);
-        sender_.onSendBatch(firstMsgId, fresh);
-      }
-      const auto due = Clock::now() + micros(sender_.initialRtoUs());
-      bool arm = false;
-      {
-        std::lock_guard<std::mutex> g(lk.m);
-        for (int i = 0; i < fresh; ++i)
-          lk.retxQ.emplace(due,
-                           firstFreshSeq + static_cast<std::uint64_t>(i));
-        if (!lk.retxArmed || due < lk.armedDue) {
-          lk.retxArmed = true;
-          lk.armedDue = due;
-          arm = true;
-        }
-      }
-      if (arm) {
-        TimerEv ev;
-        ev.due = due;
-        ev.kind = TimerEv::Kind::Retx;
-        ev.toPe = toPe;
-        pushTimerEv(std::move(ev));
-      }
-    }
-    switch (why) {
-      case FlushWhy::Full: flushFull_.fetch_add(1); break;
-      case FlushWhy::Drain: flushDrain_.fetch_add(1); break;
-      case FlushWhy::Deadline: flushDeadline_.fetch_add(1); break;
-      case FlushWhy::Retx: flushRetx_.fetch_add(1); break;
-    }
-    batchDgrams_.fetch_add(1);
-    batchTokens_.fetch_add(count);
-    xmitWire(toPe, dgram, len);
-  }
-
-  void requeueRetransmits(int toPe, const std::vector<std::uint64_t>& msgIds) {
-    LinkOut& lk = *out_[static_cast<std::size_t>(toPe)];
-    std::size_t i = 0;
-    while (i < msgIds.size()) {
-      bool needFlush = false;
-      {
-        std::lock_guard<std::mutex> g(lk.m);
-        for (; i < msgIds.size(); ++i) {
-          const std::uint64_t seq = proto::Delivery::linkMsgIdSeq(msgIds[i]);
-          auto it = lk.unackedWire.find(seq);
-          if (it == lk.unackedWire.end()) continue;  // acked meanwhile
-          if (lk.count == kBatchMaxTokens) {
-            needFlush = true;
-            break;
-          }
-          std::memcpy(lk.buf + kBatchEHeaderBytes +
-                          static_cast<std::size_t>(lk.count) * kTokenWireBytes,
-                      it->second.data(), kTokenWireBytes);
-          if (lk.count == 0) dirty_.fetch_add(1, std::memory_order_release);
-          ++lk.count;
-          link(me_, toPe).retx.fetch_add(1);
-        }
-      }
-      if (needFlush) flushLink(toPe, FlushWhy::Retx);
-    }
-    flushLink(toPe, FlushWhy::Retx);
-  }
-
-  void fireRetx(int toPe) {
-    LinkOut& lk = *out_[static_cast<std::size_t>(toPe)];
-    std::vector<std::uint64_t> expired;
-    {
-      std::lock_guard<std::mutex> g(lk.m);
-      const auto now = Clock::now();
-      while (!lk.retxQ.empty() && lk.retxQ.top().first <= now) {
-        expired.push_back(lk.retxQ.top().second);
-        lk.retxQ.pop();
-      }
-    }
-    std::vector<std::uint64_t> again;
-    std::vector<double> backoffUs;
-    int gaveUpAttempt = 0;
-    if (!expired.empty()) {
-      std::lock_guard<std::mutex> g(m_);
-      for (const std::uint64_t seq : expired) {
-        const proto::TimeoutDecision d = sender_.onTimeout(
-            proto::Delivery::packLinkMsgId(me_, toPe, seq));
-        if (d.kind == proto::TimeoutDecision::Kind::Stale) continue;
-        if (d.kind == proto::TimeoutDecision::Kind::GiveUp) {
-          gaveUpAttempt = d.attempt;
-          continue;
-        }
-        again.push_back(proto::Delivery::packLinkMsgId(me_, toPe, seq));
-        backoffUs.push_back(d.backoffUs);
-      }
-    }
-    if (gaveUpAttempt != 0) {
-      sink_.transportFail(
-          "udp-multiproc transport: reliable delivery gave up on a token "
-          "from worker " +
-          std::to_string(me_) + " to worker " + std::to_string(toPe) +
-          " after " + std::to_string(gaveUpAttempt) + " attempts");
-    }
-    if (!again.empty()) requeueRetransmits(toPe, again);
-    bool arm = false;
-    Clock::time_point due{};
-    {
-      std::lock_guard<std::mutex> g(lk.m);
-      const auto now = Clock::now();
-      for (std::size_t i = 0; i < again.size(); ++i)
-        lk.retxQ.emplace(now + micros(backoffUs[i]),
-                         proto::Delivery::linkMsgIdSeq(again[i]));
-      if (!lk.retxQ.empty()) {
-        due = lk.retxQ.top().first;
-        lk.retxArmed = true;
-        lk.armedDue = due;
-        arm = true;
-      } else {
-        lk.retxArmed = false;
-      }
-    }
-    if (arm) {
-      TimerEv ev;
-      ev.due = due;
-      ev.kind = TimerEv::Kind::Retx;
-      ev.toPe = toPe;
-      pushTimerEv(std::move(ev));
-    }
-  }
-
-  void sendCumAckE(int srcPe, const proto::Delivery::CumAckView& view,
-                   std::uint8_t epoch) {
-    std::uint8_t pkt[kCumAckEWireBytes];
-    pkt[0] = kTypeCumAckE;
-    put16(pkt + 1, static_cast<std::uint16_t>(me_));
-    put64(pkt + 3, view.cum);
-    put64(pkt + 11, view.bitmap);
-    pkt[19] = epoch;
-    rawSend(addrs_[static_cast<std::size_t>(srcPe)], pkt, sizeof pkt);
-    acksSent_.fetch_add(1);
-  }
-
-  void recvMain() {
-    std::uint8_t buf[2048];
-    std::vector<NToken> toks;
-    while (!rxStop_.load()) {
-      sockaddr_in src{};
-      socklen_t srcLen = sizeof src;
-      const ssize_t n =
-          ::recvfrom(fd_, buf, sizeof buf, 0,
-                     reinterpret_cast<sockaddr*>(&src), &srcLen);
-      if (n < 0) {
-        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
-          continue;  // SO_RCVTIMEO tick: re-check the stop flag
-        return;      // socket gone
-      }
-      if (n < 1) continue;
-      handleDatagram(buf, static_cast<std::size_t>(n));
-    }
-    // Final non-blocking sweep (acks queued behind the last poll).
-    for (;;) {
-      sockaddr_in src{};
-      socklen_t srcLen = sizeof src;
-      const ssize_t n =
-          ::recvfrom(fd_, buf, sizeof buf, MSG_DONTWAIT,
-                     reinterpret_cast<sockaddr*>(&src), &srcLen);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (n < 1) continue;
-      handleDatagram(buf, static_cast<std::size_t>(n));
-    }
-  }
-
-  void handleDatagram(std::uint8_t* buf, std::size_t n) {
-    datagramsRecv_.fetch_add(1);
-    bytesRecv_.fetch_add(static_cast<std::int64_t>(n));
-    switch (buf[0]) {
-      case kTypeBatchE: {
-        if (n < kBatchEHeaderBytes) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        const std::uint16_t srcPe = get16(buf + 1);
-        const int count = get16(buf + 3);
-        const std::uint8_t e = buf[5];
-        if (srcPe >= numPes_ || srcPe == me_ || count < 1 ||
-            count > kBatchMaxTokens ||
-            n != kBatchEHeaderBytes +
-                     static_cast<std::size_t>(count) * kTokenWireBytes) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        // All-or-nothing decode before any window mutation.
-        std::vector<NToken> toks;
-        toks.reserve(static_cast<std::size_t>(count));
-        bool ok = true;
-        for (int i = 0; i < count; ++i) {
-          NToken tok;
-          std::uint16_t recSrc = 0;
-          if (!wireDecodeToken(buf + kBatchEHeaderBytes +
-                                   static_cast<std::size_t>(i) *
-                                       kTokenWireBytes,
-                               kTokenWireBytes, tok, &recSrc) ||
-              recSrc != srcPe) {
-            ok = false;
-            break;
-          }
-          tok.epoch = e;
-          toks.push_back(tok);
-        }
-        if (!ok) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        AckState& ack = *acks_[static_cast<std::size_t>(srcPe)];
-        if (e < knownEpoch_[static_cast<std::size_t>(srcPe)]) {
-          // The sender of this datagram is dead; its reborn successor
-          // renumbered the link. Nothing from the old stream may touch the
-          // new windows.
-          staleEpoch_.fetch_add(1);
-          break;
-        }
-        if (e > knownEpoch_[static_cast<std::size_t>(srcPe)]) {
-          knownEpoch_[static_cast<std::size_t>(srcPe)] = e;
-          rx_.resetRecvLink(srcPe, me_);
-          std::lock_guard<std::mutex> g(ack.m);
-          ack.pend.clear();
-          ack.win = proto::Delivery();
-          ack.epoch = e;
-        }
-        bool hadDup = false;
-        for (NToken& tok : toks) {
-          const std::uint64_t seq =
-              proto::Delivery::linkMsgIdSeq(tok.msgId);
-          if (rx_.acceptSeq(srcPe, me_, seq)) {
-            // Fresh: deposit only. The ack waits until the worker thread
-            // drains the token AND its Recv record is supervisor-stable
-            // (noteDrained -> pumpAcks) — acking now would let a kill
-            // between ack and log lose the token forever.
-            sink_.deposit(me_, numPes_, std::move(tok));
-          } else {
-            hadDup = true;
-          }
-        }
-        if (hadDup) {
-          // The sender is retransmitting: re-ack the stable window
-          // immediately (it never covers unlogged tokens).
-          proto::Delivery::CumAckView view;
-          std::uint8_t ackEpoch = 0;
-          {
-            std::lock_guard<std::mutex> g(ack.m);
-            view = ack.win.cumAckView(srcPe, me_);
-            ackEpoch = ack.epoch;
-          }
-          sendCumAckE(srcPe, view, ackEpoch);
-        }
-        break;
-      }
-      case kTypeCumAckE: {
-        if (n != kCumAckEWireBytes) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        const std::uint16_t acker = get16(buf + 1);
-        if (acker >= numPes_ || acker == me_) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        if (buf[19] != epoch_) {
-          // An ack for a previous incarnation of this process: its seq
-          // numbers refer to the dead stream and would wrongly retire the
-          // renumbered fresh sends.
-          staleAcks_.fetch_add(1);
-          break;
-        }
-        acksRecv_.fetch_add(1);
-        const std::uint64_t cum = get64(buf + 3);
-        const std::uint64_t bitmap = get64(buf + 11);
-        std::vector<std::uint64_t> retired;
-        {
-          std::lock_guard<std::mutex> g(m_);
-          retired = sender_.onCumAck(me_, acker, cum, bitmap);
-        }
-        if (!retired.empty()) {
-          LinkOut& lk = *out_[static_cast<std::size_t>(acker)];
-          std::lock_guard<std::mutex> g(lk.m);
-          for (const std::uint64_t id : retired)
-            lk.unackedWire.erase(proto::Delivery::linkMsgIdSeq(id));
-        }
-        break;
-      }
-      default:
-        badDatagrams_.fetch_add(1);
-        break;
-    }
-  }
-
-  void timerMain() {
-    std::unique_lock<std::mutex> g(m_);
-    while (!timerStop_) {
-      if (heap_.empty()) {
-        timerCv_.wait(g, [&] { return timerStop_ || !heap_.empty(); });
-        continue;
-      }
-      const auto due = heap_.front().due;
-      if (timerCv_.wait_until(g, due, [&] {
-            return timerStop_ || heap_.front().due < due;
-          })) {
-        if (timerStop_) break;
-        continue;
-      }
-      while (!heap_.empty() && heap_.front().due <= Clock::now()) {
-        std::pop_heap(heap_.begin(), heap_.end(), EvLater{});
-        TimerEv ev = heap_.back();
-        heap_.pop_back();
-        g.unlock();
-        if (ev.kind == TimerEv::Kind::Flush)
-          flushLink(ev.toPe, FlushWhy::Deadline);
-        else
-          fireRetx(ev.toPe);
-        g.lock();
-      }
-    }
-  }
-
-  TransportSink& sink_;
-  const int numPes_;
-  const int me_;
-  const std::uint8_t epoch_;
-  const int fd_;
-  WorkerLink* const link_;
-  std::vector<LinkStat> links_;
-  std::vector<sockaddr_in> addrs_;
-  /// Sender window under m_; one receiver endpoint touched only by the rx
-  /// thread (and primeRecv before threads start).
-  proto::Delivery sender_;
-  proto::Delivery rx_;
-  std::vector<std::unique_ptr<LinkOut>> out_;
-  std::vector<std::unique_ptr<AckState>> acks_;
-  /// Highest incarnation seen per source. rx thread only (+ pre-start
-  /// primeRecv); the worker-thread view lives in AckState::epoch.
-  std::vector<std::uint8_t> knownEpoch_;
-  std::atomic<int> dirty_{0};
-
-  std::thread rxThread_;
-  std::thread timerThread_;
-  std::atomic<bool> rxStop_{false};
-
-  mutable std::mutex m_;  // guards heap_, timerStop_, sender_
-  std::condition_variable timerCv_;
-  std::vector<TimerEv> heap_;
-  bool timerStop_ = false;
-
   std::atomic<std::int64_t> tokensSent_{0};
   std::atomic<std::int64_t> datagramsSent_{0};
   std::atomic<std::int64_t> bytesSent_{0};
@@ -2003,6 +1416,9 @@ class UdpMultiprocTransport final : public Transport {
   std::atomic<std::int64_t> flushDeadline_{0};
   std::atomic<std::int64_t> flushDrain_{0};
   std::atomic<std::int64_t> flushRetx_{0};
+  std::atomic<std::int64_t> faultDrops_{0};
+  std::atomic<std::int64_t> faultDups_{0};
+  std::atomic<std::int64_t> faultDelays_{0};
 };
 
 }  // namespace
@@ -2034,7 +1450,7 @@ const char* transportKindName(TransportKind kind) {
 
 void wireEncodeToken(const NToken& tok, std::uint16_t srcPe,
                      std::uint8_t out[kTokenWireBytes]) {
-  out[0] = kTypeToken;
+  out[0] = kRecordTag;
   // Flag byte: bit 0 = toCont, bit 1 = add, bits 2..4 = AmKind (0 for
   // ordinary tokens, so the non-array wire stays bit-identical), bits 5..7
   // reserved (decoder rejects them nonzero).
@@ -2055,7 +1471,7 @@ void wireEncodeToken(const NToken& tok, std::uint16_t srcPe,
 
 bool wireDecodeToken(const std::uint8_t* data, std::size_t len, NToken& tok,
                      std::uint16_t* srcPe) {
-  if (len != kTokenWireBytes || data[0] != kTypeToken) return false;
+  if (len != kTokenWireBytes || data[0] != kRecordTag) return false;
   if (data[1] & ~0x1Fu) return false;  // bits 5..7 reserved
   const std::uint8_t amKind = (data[1] >> 2) & 0x7u;
   if (amKind > kMaxWireAmKind) return false;  // AllocMeta is log-only
@@ -2078,44 +1494,27 @@ bool wireDecodeToken(const std::uint8_t* data, std::size_t len, NToken& tok,
 }
 
 std::size_t wireEncodeBatch(const NToken* toks, int count, std::uint16_t srcPe,
-                            std::uint8_t* out) {
+                            std::uint8_t epoch, std::uint8_t* out) {
   PODS_CHECK_MSG(count >= 1 && count <= kBatchMaxTokens,
                  "wireEncodeBatch: count out of range");
-  if (count == 1) {
-    wireEncodeToken(toks[0], srcPe, out);
-    return kTokenWireBytes;
-  }
-  out[0] = kTypeBatch;
-  put16(out + 1, srcPe);
-  put16(out + 3, static_cast<std::uint16_t>(count));
+  putBatchHeader(out, srcPe, count, epoch);
   for (int i = 0; i < count; ++i)
     wireEncodeToken(toks[i], srcPe,
                     out + kBatchHeaderBytes +
                         static_cast<std::size_t>(i) * kTokenWireBytes);
-  return kBatchHeaderBytes + static_cast<std::size_t>(count) * kTokenWireBytes;
+  return batchBytes(count);
 }
 
 bool wireDecodeBatch(const std::uint8_t* data, std::size_t len,
                      std::vector<NToken>& out, std::uint16_t* srcPe) {
   out.clear();
-  if (len < 1) return false;
-  if (data[0] == kTypeToken) {
-    NToken tok;
-    std::uint16_t src = 0;
-    if (!wireDecodeToken(data, len, tok, &src)) return false;
-    if (srcPe) *srcPe = src;
-    out.push_back(tok);
-    return true;
-  }
-  if (data[0] != kTypeBatch || len < kBatchHeaderBytes) return false;
+  if (len < kBatchHeaderBytes || data[0] != kTypeBatch) return false;
   const std::uint16_t src = get16(data + 1);
   const int count = get16(data + 3);
-  // A 1-record batch is never emitted (it goes out as the bare legacy
-  // token datagram), so count < 2 is malformed, as is any length that is
-  // not exactly header + count records (truncation or trailing junk).
-  if (count < 2 || count > kBatchMaxTokens) return false;
-  if (len != kBatchHeaderBytes +
-                 static_cast<std::size_t>(count) * kTokenWireBytes)
+  const std::uint8_t epoch = data[5];
+  // The length must be exactly header + count records: truncation or
+  // trailing junk rejects.
+  if (count < 1 || count > kBatchMaxTokens || len != batchBytes(count))
     return false;
   out.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
@@ -2128,6 +1527,7 @@ bool wireDecodeBatch(const std::uint8_t* data, std::size_t len,
       out.clear();  // all-or-nothing: one bad record rejects the datagram
       return false;
     }
+    tok.epoch = epoch;
     out.push_back(tok);
   }
   if (srcPe) *srcPe = src;
@@ -2143,7 +1543,10 @@ std::unique_ptr<Transport> makeInboxTransport(TransportSink& sink,
 std::unique_ptr<Transport> makeUdpTransport(TransportSink& sink,
                                             const FaultPlan& plan,
                                             int numPes) {
-  return std::make_unique<UdpTransport>(sink, plan, numPes);
+  return std::make_unique<UdpTransport>(sink, plan, numPes, /*localPe=*/0,
+                                        /*epoch=*/0, /*sockFd=*/-1,
+                                        std::vector<std::uint16_t>{},
+                                        /*link=*/nullptr);
 }
 
 std::unique_ptr<Transport> makeTransport(TransportKind kind,
@@ -2157,11 +1560,11 @@ std::unique_ptr<Transport> makeUdpMultiprocTransport(
     TransportSink& sink, const FaultPlan& plan, int numPes, int localPe,
     std::uint8_t epoch, int sockFd, const std::vector<std::uint16_t>& peerPorts,
     WorkerLink* link) {
+  PODS_CHECK_MSG(sockFd >= 0, "udp-multiproc: no inherited socket fd");
   PODS_CHECK_MSG(static_cast<int>(peerPorts.size()) == numPes,
                  "udp-multiproc: port table size mismatch");
-  return std::make_unique<UdpMultiprocTransport>(sink, plan, numPes, localPe,
-                                                 epoch, sockFd, peerPorts,
-                                                 link);
+  return std::make_unique<UdpTransport>(sink, plan, numPes, localPe, epoch,
+                                        sockFd, peerPorts, link);
 }
 
 }  // namespace pods::native

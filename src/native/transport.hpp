@@ -10,21 +10,23 @@
 //    injection a send is a mutex-guarded deque push; with it, the send goes
 //    through the seeded unreliable-network shim plus a wall-clock
 //    retransmit daemon (exponential backoff, receiver msgId dedup).
-//  - UdpTransport: every PE binds its own UDP socket on 127.0.0.1 and
-//    tokens travel as serialized datagrams — a true multi-node stand-in.
-//    Tokens for one destination coalesce into MTU-sized batch datagrams
-//    (flushed when full, when the sending worker's loop comes around, or by
-//    a 50 µs deadline timer). UDP may drop, duplicate, or reorder even on
-//    loopback, so this transport ALWAYS runs a reliable-delivery protocol:
-//    each (src,dst) link numbers its tokens with a dense sequence, the
-//    receiver answers every batch with one cumulative ack (highest
-//    contiguous seq + selective bitmap), unacked tokens are retransmitted
-//    with exponential backoff (riding later batches, keeping their original
-//    msgId), and the receiver suppresses duplicates by link sequence before
-//    they reach the inbox. FaultPlan injection composes at the datagram
-//    level (batch sends AND acks roll the seeded dice), so
-//    `--faults=drop/dup/delay` specs and kill recovery work unchanged over
-//    real sockets.
+//  - UdpTransport: every PE owns a UDP socket on 127.0.0.1 and tokens
+//    travel as serialized datagrams — a true multi-node stand-in. One link
+//    driver serves both `--transport=udp` (every PE local, sockets bound at
+//    start) and `--transport=udp-multiproc` (one local PE per worker
+//    process, on a socket inherited from the supervisor). Tokens for one
+//    destination coalesce into MTU-sized batch datagrams (flushed when
+//    full, when the sending worker's loop comes around, or by a 50 µs
+//    deadline timer). UDP may drop, duplicate, or reorder even on loopback,
+//    so this transport ALWAYS runs a reliable-delivery protocol: each
+//    (src,dst) link numbers its tokens with a dense sequence, the receiver
+//    answers with cumulative acks (highest contiguous seq + selective
+//    bitmap), unacked tokens are retransmitted with exponential backoff
+//    (riding later batches, keeping their original msgId), and the
+//    receiver suppresses duplicates by link sequence before they reach the
+//    inbox. FaultPlan injection composes at the datagram level (batch sends
+//    AND acks roll the seeded dice), so `--faults=drop/dup/delay` specs and
+//    kill recovery work unchanged over real sockets.
 //
 // Quiescence contract: the machine charges `pending`/`inboxTokens` once per
 // logical token at send time, and the charges are released only when the
@@ -55,7 +57,7 @@ namespace pods::native {
 enum class TransportKind : std::uint8_t {
   Inbox,  // in-process mutex-guarded inbox (default; behavior-unchanged)
   Udp,    // per-PE UDP loopback sockets, ack/retransmit reliable delivery
-  UdpMultiproc,  // PEs are forked worker processes; same UDP batch wire,
+  UdpMultiproc,  // PEs are forked worker processes; the same UDP driver,
                  // sockets bound by (and inherited from) the supervisor
 };
 
@@ -88,10 +90,10 @@ struct NToken {
   /// Array messages ride the same wire records, batch datagrams, sequence
   /// windows, acks, and fault dice as ordinary tokens.
   std::uint8_t amKind = 0;
-  /// Multi-process: the sending process's incarnation, stamped from the
-  /// batch-datagram header at receive time (not part of the 65-byte token
-  /// record). Rides to the drain so the ack for this token is attributed to
-  /// the right sender incarnation.
+  /// The sending process's incarnation, stamped from the batch-datagram
+  /// header by wireDecodeBatch (not part of the 65-byte token record; 0
+  /// in-process). Rides to the drain so the ack for this token is
+  /// attributed to the right sender incarnation.
   std::uint8_t epoch = 0;
 };
 
@@ -215,44 +217,47 @@ std::unique_ptr<Transport> makeTransport(TransportKind kind,
                                          TransportSink& sink,
                                          const FaultPlan& plan, int numPes);
 
-/// Multi-process worker transport: one socket fd inherited from the
-/// supervisor (already bound; the supervisor keeps its own copy so the port
-/// and buffered datagrams survive this process), peers addressed by the
-/// fixed loopback port table. `epoch` stamps outbound datagrams; a respawn
-/// boots with epoch+1 and renumbers all links from 1, and receivers reset
-/// their per-link windows when they first see a higher epoch from a source.
+/// Multi-process worker transport: the UDP link driver for the one local
+/// PE `localPe`, on socket fd `sockFd` inherited from the supervisor
+/// (already bound; the supervisor keeps its own copy so the port and
+/// buffered datagrams survive this process), peers addressed by the fixed
+/// loopback port table. `epoch` stamps outbound datagrams; a respawn boots
+/// with epoch+1 and renumbers all links from 1, and receivers reset their
+/// per-link windows when they first see a higher epoch from a source.
+/// `link` gates acks and flushes on the supervisor's stable log.
 std::unique_ptr<Transport> makeUdpMultiprocTransport(
     TransportSink& sink, const FaultPlan& plan, int numPes, int localPe,
     std::uint8_t epoch, int sockFd, const std::vector<std::uint16_t>& peerPorts,
     WorkerLink* link);
 
-/// Wire format of one token datagram (UdpTransport). Exposed for tests:
-/// encode/decode must round-trip every field bit-exactly.
+/// Wire format of one token record (65 bytes, leading record tag byte).
+/// Exposed for tests: encode/decode must round-trip every field bit-exactly.
 constexpr std::size_t kTokenWireBytes = 65;
 void wireEncodeToken(const NToken& tok, std::uint16_t srcPe,
                      std::uint8_t out[kTokenWireBytes]);
 bool wireDecodeToken(const std::uint8_t* data, std::size_t len, NToken& tok,
                      std::uint16_t* srcPe);
 
-/// Batch datagram: 5-byte header (type, srcPe u16, count u16) followed by
-/// `count` full 65-byte token records. Sized to fit a common 1400-byte MTU
-/// budget — 21 tokens per datagram. A single-token flush is emitted as the
-/// bare 65-byte record, so 1-token "batches" are bit-identical to the
-/// legacy wire format.
-constexpr std::size_t kBatchHeaderBytes = 5;
+/// Batch datagram, the only token-carrying datagram: 6-byte header (type,
+/// srcPe u16, count u16, epoch u8) followed by `count` full 65-byte token
+/// records. Sized to fit a common 1400-byte MTU budget — 21 tokens per
+/// datagram.
+constexpr std::size_t kBatchHeaderBytes = 6;
 constexpr std::size_t kBatchMaxBytes = 1400;
 constexpr int kBatchMaxTokens =
     static_cast<int>((kBatchMaxBytes - kBatchHeaderBytes) / kTokenWireBytes);
 
-/// Encodes `count` tokens (1..kBatchMaxTokens) into one datagram image;
-/// returns its length. count==1 produces the legacy single-token format.
+/// Encodes `count` tokens (1..kBatchMaxTokens) sent by `srcPe` under
+/// incarnation `epoch` into one datagram image; returns its length.
 std::size_t wireEncodeBatch(const NToken* toks, int count, std::uint16_t srcPe,
+                            std::uint8_t epoch,
                             std::uint8_t* out /* >= kBatchMaxBytes */);
 
-/// Decodes a token-carrying datagram (legacy single-token or batch) into
-/// `out`. All-or-nothing: a truncated datagram, trailing junk, a malformed
-/// record, or a record whose srcPe disagrees with the header rejects the
-/// whole datagram (returns false, `out` left empty).
+/// Decodes a batch datagram into `out`, stamping each token's `epoch` from
+/// the header. All-or-nothing: a count outside 1..kBatchMaxTokens, a
+/// truncated datagram, trailing junk, a malformed record, or a record whose
+/// srcPe disagrees with the header rejects the whole datagram (returns
+/// false, `out` left empty).
 bool wireDecodeBatch(const std::uint8_t* data, std::size_t len,
                      std::vector<NToken>& out, std::uint16_t* srcPe);
 

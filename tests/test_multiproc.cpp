@@ -30,6 +30,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/pods.hpp"
 #include "native/procmgr.hpp"
@@ -187,33 +188,41 @@ TEST(MultiprocWire, AdversarialOwnershipAcrossWeights) {
 TEST(MultiprocWireKill, KillRecoveryBitIdentical) {
   // kill -9 a worker mid-run under the wire store: its owned elements,
   // parked readers, and shape table are rebuilt from the supervisor's copy
-  // of its Am log; deferred replies regenerate on replay.
-  auto c = compileOk(workloads::reversalSource(96));
-  BaselineRun seq = runSequentialBaseline(*c);
-  ASSERT_TRUE(seq.stats.ok) << seq.stats.error;
+  // of its Am log; deferred replies regenerate on replay. Reversal writes
+  // almost every element remotely; the heat stencil writes its owned rows
+  // locally, so the owner's own writes must survive the kill too. Heat
+  // kills land later, once whole rows have been written and retired.
+  const std::pair<std::string, double> cases[] = {
+      {workloads::reversalSource(96), 200.0},
+      {workloads::stencilSource(24, 5), 20000.0}};
+  for (const auto& [src, killBaseUs] : cases) {
+    auto c = compileOk(src);
+    BaselineRun seq = runSequentialBaseline(*c);
+    ASSERT_TRUE(seq.stats.ok) << seq.stats.error;
 
-  const int seeds = std::max(3, multiprocSeeds() / 2);
-  std::int64_t kills = 0;
-  for (int seed = 1; seed <= seeds; ++seed) {
-    native::NativeConfig nc = multiprocConfig(4);
-    nc.pageElems = 8;
-    nc.store = native::StoreKind::Wire;
-    nc.faults.killPe = seed % 4;
-    nc.faults.killTimeUs = 200.0 + (seed * 1733) % 12000;
-    nc.faults.killRestartUs = 200.0;
-    NativeRun run = runNative(*c, nc);
-    ASSERT_TRUE(run.stats.ok) << "seed=" << seed << ": " << run.stats.error;
-    std::string why;
-    ASSERT_TRUE(sameOutputs(run.out, seq.out, &why))
-        << "seed=" << seed << ": " << why;
-    EXPECT_EQ(run.stats.counters.get("native.shmArrayOps"), 0)
-        << "seed=" << seed;
-    EXPECT_EQ(run.stats.counters.get("native.framesCreated"),
-              run.stats.counters.get("native.framesRetired"))
-        << "seed=" << seed;
-    kills += run.stats.counters.get("fault.kills");
+    const int seeds = std::max(3, multiprocSeeds() / 2);
+    std::int64_t kills = 0;
+    for (int seed = 1; seed <= seeds; ++seed) {
+      native::NativeConfig nc = multiprocConfig(4);
+      nc.pageElems = 8;
+      nc.store = native::StoreKind::Wire;
+      nc.faults.killPe = seed % 4;
+      nc.faults.killTimeUs = killBaseUs + (seed * 1733) % 12000;
+      nc.faults.killRestartUs = 200.0;
+      NativeRun run = runNative(*c, nc);
+      ASSERT_TRUE(run.stats.ok) << "seed=" << seed << ": " << run.stats.error;
+      std::string why;
+      ASSERT_TRUE(sameOutputs(run.out, seq.out, &why))
+          << "seed=" << seed << ": " << why;
+      EXPECT_EQ(run.stats.counters.get("native.shmArrayOps"), 0)
+          << "seed=" << seed;
+      EXPECT_EQ(run.stats.counters.get("native.framesCreated"),
+                run.stats.counters.get("native.framesRetired"))
+          << "seed=" << seed;
+      kills += run.stats.counters.get("fault.kills");
+    }
+    EXPECT_GT(kills, 0);
   }
-  EXPECT_GT(kills, 0);
 }
 
 // --- supervised kill -9 recovery --------------------------------------------

@@ -9,8 +9,13 @@
 // with each token through kernel socket buffers, so termination stays
 // exact. The fuzz sweeps run PODS_TRANSPORT_SEEDS seeds (default 8; the CI
 // socket-soak job raises it to 32+).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -64,6 +69,42 @@ void expectBalancedLedger(const NativeRun& run, const std::string& what) {
       << what;
   EXPECT_EQ(run.stats.counters.get("native.framesLive"), 0) << what;
 }
+
+sockaddr_in loopbackAddr(std::uint16_t port) {
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  sa.sin_port = htons(port);
+  return sa;
+}
+
+/// A UDP socket bound to an ephemeral loopback port, or -1.
+int boundLoopbackSocket() {
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  if (fd < 0) return -1;
+  const sockaddr_in sa = loopbackAddr(0);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+std::uint16_t socketPort(int fd) {
+  sockaddr_in sa{};
+  socklen_t len = sizeof sa;
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len);
+  return ntohs(sa.sin_port);
+}
+
+/// A machine stand-in for driving a transport directly: counts deposits.
+class CountingSink final : public native::TransportSink {
+ public:
+  void deposit(int, int, native::NToken) override { deposits.fetch_add(1); }
+  void chargeDuplicate() override {}
+  void transportFail(const std::string&) override {}
+  std::atomic<int> deposits{0};
+};
 
 // --- wire format ------------------------------------------------------------
 
@@ -165,6 +206,65 @@ TEST(TransportWire, RejectsMalformedDatagrams) {
   EXPECT_TRUE(
       native::wireDecodeToken(wire, native::kTokenWireBytes, out, nullptr));
   EXPECT_EQ(out.v.asInt(), 17);
+
+  // Retired datagram types: the bare token record (1), the per-message ack
+  // (2), the self-sent shutdown wake (3), and the un-epoched batch (4) and
+  // cumulative ack (5). The batch (6) and epoch ack (7) are all that remain.
+  native::NToken fromPeer = tok;
+  fromPeer.msgId = proto::Delivery::packLinkMsgId(1, 0, 1);
+  std::uint8_t batch[native::kBatchMaxBytes];
+  const std::size_t batchLen =
+      native::wireEncodeBatch(&fromPeer, 1, 1, /*epoch=*/0, batch);
+  std::vector<std::vector<std::uint8_t>> retired;
+  retired.emplace_back(batch + native::kBatchHeaderBytes,
+                       batch + batchLen);                   // type 1
+  retired.push_back({2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0});     // type 2
+  retired.push_back({3});                                   // type 3
+  std::vector<std::uint8_t> oldBatch = {4, 1, 0, 1, 0};     // type 4
+  oldBatch.insert(oldBatch.end(), batch + native::kBatchHeaderBytes,
+                  batch + batchLen);
+  retired.push_back(oldBatch);
+  retired.push_back(std::vector<std::uint8_t>(19, 0));      // type 5
+  retired.back()[0] = 5;
+  retired.back()[1] = 1;
+  std::vector<native::NToken> toks;
+  for (const auto& d : retired)
+    EXPECT_FALSE(native::wireDecodeBatch(d.data(), d.size(), toks, nullptr))
+        << "type " << int(d[0]);
+
+  // Over a real socket, the driver counts each one as a bad datagram and
+  // delivers nothing — while a well-formed batch still gets through.
+  const int drvFd = boundLoopbackSocket();
+  const int peerFd = boundLoopbackSocket();
+  ASSERT_GE(drvFd, 0);
+  ASSERT_GE(peerFd, 0);
+  CountingSink sink;
+  auto drv = native::makeUdpMultiprocTransport(
+      sink, FaultPlan{}, 2, /*localPe=*/0, /*epoch=*/0, drvFd,
+      {socketPort(drvFd), socketPort(peerFd)}, /*link=*/nullptr);
+  std::string err;
+  ASSERT_TRUE(drv->start(&err)) << err;
+  const sockaddr_in to = loopbackAddr(socketPort(drvFd));
+  for (const auto& d : retired)
+    ASSERT_EQ(::sendto(peerFd, d.data(), d.size(), 0,
+                       reinterpret_cast<const sockaddr*>(&to), sizeof to),
+              static_cast<ssize_t>(d.size()));
+  ASSERT_EQ(::sendto(peerFd, batch, batchLen, 0,
+                     reinterpret_cast<const sockaddr*>(&to), sizeof to),
+            static_cast<ssize_t>(batchLen));
+  drv->stop();
+  Counters c;
+  drv->addStats(c);
+  EXPECT_EQ(c.get("net.udp.badDatagrams"),
+            static_cast<std::int64_t>(retired.size()));
+  EXPECT_EQ(c.get("net.udp.datagramsRecv"),
+            static_cast<std::int64_t>(retired.size()) + 1);
+  EXPECT_EQ(c.get("net.udp.acksRecv"), 0);
+  EXPECT_EQ(c.get("net.udp.acksSent"), 1);  // for the one good batch
+  EXPECT_EQ(sink.deposits.load(), 1);
+  drv.reset();
+  ::close(drvFd);
+  ::close(peerFd);
 }
 
 // --- batch wire format ------------------------------------------------------
@@ -185,13 +285,14 @@ native::NToken wireFuzzToken(std::uint64_t i) {
 }
 
 TEST(TransportWire, BatchRoundTripsAtEverySize) {
-  for (int count = 2; count <= native::kBatchMaxTokens; ++count) {
+  for (int count = 1; count <= native::kBatchMaxTokens; ++count) {
     std::vector<native::NToken> toks;
     for (int i = 0; i < count; ++i)
       toks.push_back(wireFuzzToken(static_cast<std::uint64_t>(i)));
+    const auto epoch = static_cast<std::uint8_t>(count * 11);
     std::uint8_t dgram[native::kBatchMaxBytes];
     const std::size_t len =
-        native::wireEncodeBatch(toks.data(), count, 3, dgram);
+        native::wireEncodeBatch(toks.data(), count, 3, epoch, dgram);
     ASSERT_EQ(len, native::kBatchHeaderBytes +
                        static_cast<std::size_t>(count) *
                            native::kTokenWireBytes);
@@ -208,25 +309,10 @@ TEST(TransportWire, BatchRoundTripsAtEverySize) {
                 toks[static_cast<std::size_t>(i)].ctx);
       EXPECT_EQ(back[static_cast<std::size_t>(i)].v.bits,
                 toks[static_cast<std::size_t>(i)].v.bits);
+      EXPECT_EQ(back[static_cast<std::size_t>(i)].epoch, epoch)
+          << "count=" << count;
     }
   }
-}
-
-TEST(TransportWire, SingleTokenBatchIsBitIdenticalToLegacyFormat) {
-  const native::NToken tok = wireFuzzToken(9);
-  std::uint8_t legacy[native::kTokenWireBytes];
-  native::wireEncodeToken(tok, 3, legacy);
-  std::uint8_t batched[native::kBatchMaxBytes];
-  const std::size_t len = native::wireEncodeBatch(&tok, 1, 3, batched);
-  ASSERT_EQ(len, native::kTokenWireBytes);
-  EXPECT_EQ(0, std::memcmp(legacy, batched, len));
-  // And the batch decoder accepts the legacy image as a 1-token batch.
-  std::vector<native::NToken> back;
-  std::uint16_t srcPe = 0;
-  ASSERT_TRUE(native::wireDecodeBatch(legacy, len, back, &srcPe));
-  EXPECT_EQ(srcPe, 3);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0].msgId, tok.msgId);
 }
 
 TEST(TransportWire, BatchDecodeIsAllOrNothing) {
@@ -234,7 +320,8 @@ TEST(TransportWire, BatchDecodeIsAllOrNothing) {
   for (int i = 0; i < 3; ++i)
     toks.push_back(wireFuzzToken(static_cast<std::uint64_t>(i)));
   std::uint8_t dgram[native::kBatchMaxBytes];
-  const std::size_t len = native::wireEncodeBatch(toks.data(), 3, 4, dgram);
+  const std::size_t len =
+      native::wireEncodeBatch(toks.data(), 3, 4, /*epoch=*/2, dgram);
 
   std::vector<native::NToken> out;
   // Every truncation point rejects — including cuts that leave a whole
@@ -272,17 +359,24 @@ TEST(TransportWire, BatchHeaderRejectsBadCounts) {
   for (int i = 0; i < 2; ++i)
     toks.push_back(wireFuzzToken(static_cast<std::uint64_t>(i)));
   std::uint8_t dgram[native::kBatchMaxBytes];
-  const std::size_t len = native::wireEncodeBatch(toks.data(), 2, 4, dgram);
+  const std::size_t len =
+      native::wireEncodeBatch(toks.data(), 2, 4, /*epoch=*/0, dgram);
   std::vector<native::NToken> out;
 
-  // count < 2 in explicit batch framing is malformed (a real single token
-  // ships as the bare legacy record).
+  // A one-record batch is the smallest legal datagram...
+  std::uint8_t one[native::kBatchMaxBytes];
+  const std::size_t oneLen =
+      native::wireEncodeBatch(toks.data(), 1, 4, /*epoch=*/0, one);
+  ASSERT_TRUE(native::wireDecodeBatch(one, oneLen, out, nullptr));
+  EXPECT_EQ(out.size(), 1u);
+  // ...and count 0 is malformed.
+  one[3] = 0;
+  one[4] = 0;
+  EXPECT_FALSE(native::wireDecodeBatch(one, oneLen, out, nullptr));
   std::uint8_t bad[native::kBatchMaxBytes];
   std::memcpy(bad, dgram, len);
   bad[3] = 0;
   bad[4] = 0;
-  EXPECT_FALSE(native::wireDecodeBatch(bad, len, out, nullptr));
-  bad[3] = 1;
   EXPECT_FALSE(native::wireDecodeBatch(bad, len, out, nullptr));
   // count beyond the MTU budget is malformed no matter the length.
   std::memcpy(bad, dgram, len);
@@ -291,6 +385,8 @@ TEST(TransportWire, BatchHeaderRejectsBadCounts) {
   // count disagreeing with the datagram length is malformed.
   std::memcpy(bad, dgram, len);
   bad[3] = 3;
+  EXPECT_FALSE(native::wireDecodeBatch(bad, len, out, nullptr));
+  bad[3] = 1;
   EXPECT_FALSE(native::wireDecodeBatch(bad, len, out, nullptr));
   EXPECT_TRUE(out.empty());
 }
@@ -350,9 +446,18 @@ TEST(UdpTransport, SimpleBitIdenticalToInboxAcrossPeCounts) {
          {"net.udp.sendErrors", "net.udp.badDatagrams",
           "net.udp.batch.datagrams", "net.udp.batch.tokensPerDgram",
           "net.udp.batch.flushFull", "net.udp.batch.flushDeadline",
-          "net.udp.batch.flushDrain", "net.udp.batch.flushRetx"}) {
+          "net.udp.batch.flushDrain", "net.udp.batch.flushRetx",
+          "net.udp.staleEpoch", "net.udp.staleAcks",
+          "net.udp.gatedFlushes"}) {
       EXPECT_EQ(run.stats.counters.all().count(key), 1u)
           << "workers=" << workers << " missing " << key;
+    }
+    // The same driver runs udp-multiproc; in-process every epoch is 0 and
+    // no WorkerLink gates a flush.
+    for (const char* key : {"net.udp.staleEpoch", "net.udp.staleAcks",
+                            "net.udp.gatedFlushes"}) {
+      EXPECT_EQ(run.stats.counters.get(key), 0)
+          << "workers=" << workers << " " << key;
     }
   }
 }
