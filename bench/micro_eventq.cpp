@@ -1,17 +1,20 @@
 // Micro-benchmarks (google-benchmark) of the simulator event engine: the
 // calendar queue against the reference std::priority_queue under the classic
 // hold model (steady-state pop-one push-one at a future deadline), and the
-// two engines end-to-end through an 8-PE simulated run. These measure the
-// *host-side* cost of event dispatch, not simulated time.
+// two engines end-to-end through simulated runs: an 8-PE fill, and a 16-PE
+// lockstep SIMPLE run whose event stream is mostly EU kicks. These measure
+// the *host-side* cost of event dispatch, not simulated time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "core/pods.hpp"
 #include "sim/event_queue.hpp"
 #include "workloads/kernels.hpp"
+#include "workloads/simple.hpp"
 
 namespace {
 
@@ -81,12 +84,13 @@ BENCHMARK(BM_HeapHold)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
 // End-to-end: the same 8-PE workload through both engines. The delta here is
 // the whole-run win (or cost) of the calendar engine, timer collapse
 // included; bit-identical outputs are asserted by the fuzz suites, not here.
-void BM_SimFill2d(benchmark::State& state, pods::sim::EventEngine engine) {
-  auto cr = pods::compile(pods::workloads::fill2dSource(32, 32));
+void BM_SimRun(benchmark::State& state, const std::string& source, int pes,
+               pods::sim::EventEngine engine) {
+  auto cr = pods::compile(source);
   std::uint64_t events = 0;
   for (auto _ : state) {
     pods::sim::MachineConfig mc;
-    mc.numPEs = 8;
+    mc.numPEs = pes;
     mc.eventEngine = engine;
     pods::PodsRun run = pods::runPods(*cr.compiled, mc);
     events += run.stats.events;
@@ -96,13 +100,29 @@ void BM_SimFill2d(benchmark::State& state, pods::sim::EventEngine engine) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 void BM_SimFill2d_Calendar(benchmark::State& state) {
-  BM_SimFill2d(state, pods::sim::EventEngine::Calendar);
+  BM_SimRun(state, pods::workloads::fill2dSource(32, 32), 8,
+            pods::sim::EventEngine::Calendar);
 }
 void BM_SimFill2d_Heap(benchmark::State& state) {
-  BM_SimFill2d(state, pods::sim::EventEngine::BinaryHeap);
+  BM_SimRun(state, pods::workloads::fill2dSource(32, 32), 8,
+            pods::sim::EventEngine::BinaryHeap);
 }
 BENCHMARK(BM_SimFill2d_Calendar);
 BENCHMARK(BM_SimFill2d_Heap);
+
+// The kick path: 16 PEs in lockstep yield to the queue after nearly every
+// instruction, so most events are EU kicks (the calendar engine's kick heap;
+// the heap engine's ordinary queued events).
+void BM_SimSimple16_Calendar(benchmark::State& state) {
+  BM_SimRun(state, pods::workloads::simpleSource(32, 1), 16,
+            pods::sim::EventEngine::Calendar);
+}
+void BM_SimSimple16_Heap(benchmark::State& state) {
+  BM_SimRun(state, pods::workloads::simpleSource(32, 1), 16,
+            pods::sim::EventEngine::BinaryHeap);
+}
+BENCHMARK(BM_SimSimple16_Calendar)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimSimple16_Heap)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

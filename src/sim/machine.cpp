@@ -211,6 +211,134 @@ struct EvLater {
   }
 };
 
+/// Min-heap order for std::priority_queue on entries carrying an EvKey.
+struct KeyLater {
+  template <typename T>
+  bool operator()(const T& a, const T& b) const {
+    return b.key < a.key;
+  }
+};
+
+/// Fixed-name counters bumped on the event path. They count into an
+/// enum-indexed array (CounterSlots) and reach the run's Counters registry
+/// once, at finalize(), instead of paying a std::map<std::string> lookup per
+/// bump.
+enum class Ctr : std::uint8_t {
+  AmDeferredOnHeader,
+  ArrayAllocs,
+  ArrayAllocsReplayDup,
+  ArrayPagesReceived,
+  ArrayPagesSent,
+  ArrayReads,
+  ArrayReadsCacheHit,
+  ArrayReadsCoalesced,
+  ArrayReadsDeferred,
+  ArrayReadsLocalHit,
+  ArrayReadsRemote,
+  ArrayReadsRemoteDeferred,
+  ArrayWrites,
+  ArrayWritesRemote,
+  ArrayWritesReplayDup,
+  EuBlocks,
+  EuContextSwitches,
+  FaultDeadDrops,
+  FaultDelays,
+  FaultDrops,
+  FaultDups,
+  FaultKills,
+  FaultRestarts,
+  FaultStalls,
+  NetArrayMsgs,
+  NetBroadcastTokens,
+  NetPages,
+  NetTokens,
+  RecoveryDroppedEvents,
+  RecoveryHeldEvents,
+  RecoveryMigratedArrays,
+  RecoveryParkedEarly,
+  RecoveryReRequestedReads,
+  RecoveryReplayedFrames,
+  RecoveryReplayedTokens,
+  RuntimeErrors,
+  SpCompleted,
+  SpInstantiated,
+  TokensDropped,
+  TokensMatched,
+  TokensReplayDup,
+  TokensSent,
+  TraceDropped,
+  Count_,
+};
+constexpr std::size_t kNumCtrs = static_cast<std::size_t>(Ctr::Count_);
+
+const char* ctrName(Ctr c) {
+  switch (c) {
+    case Ctr::AmDeferredOnHeader: return "am.deferredOnHeader";
+    case Ctr::ArrayAllocs: return "array.allocs";
+    case Ctr::ArrayAllocsReplayDup: return "array.allocs.replayDup";
+    case Ctr::ArrayPagesReceived: return "array.pagesReceived";
+    case Ctr::ArrayPagesSent: return "array.pagesSent";
+    case Ctr::ArrayReads: return "array.reads";
+    case Ctr::ArrayReadsCacheHit: return "array.reads.cacheHit";
+    case Ctr::ArrayReadsCoalesced: return "array.reads.coalesced";
+    case Ctr::ArrayReadsDeferred: return "array.reads.deferred";
+    case Ctr::ArrayReadsLocalHit: return "array.reads.localHit";
+    case Ctr::ArrayReadsRemote: return "array.reads.remote";
+    case Ctr::ArrayReadsRemoteDeferred: return "array.reads.remoteDeferred";
+    case Ctr::ArrayWrites: return "array.writes";
+    case Ctr::ArrayWritesRemote: return "array.writes.remote";
+    case Ctr::ArrayWritesReplayDup: return "array.writes.replayDup";
+    case Ctr::EuBlocks: return "eu.blocks";
+    case Ctr::EuContextSwitches: return "eu.contextSwitches";
+    case Ctr::FaultDeadDrops: return "fault.deadDrops";
+    case Ctr::FaultDelays: return "fault.delays";
+    case Ctr::FaultDrops: return "fault.drops";
+    case Ctr::FaultDups: return "fault.dups";
+    case Ctr::FaultKills: return "fault.kills";
+    case Ctr::FaultRestarts: return "fault.restarts";
+    case Ctr::FaultStalls: return "fault.stalls";
+    case Ctr::NetArrayMsgs: return "net.arrayMsgs";
+    case Ctr::NetBroadcastTokens: return "net.broadcastTokens";
+    case Ctr::NetPages: return "net.pages";
+    case Ctr::NetTokens: return "net.tokens";
+    case Ctr::RecoveryDroppedEvents: return "recovery.droppedEvents";
+    case Ctr::RecoveryHeldEvents: return "recovery.heldEvents";
+    case Ctr::RecoveryMigratedArrays: return "recovery.migratedArrays";
+    case Ctr::RecoveryParkedEarly: return "recovery.parkedEarly";
+    case Ctr::RecoveryReRequestedReads: return "recovery.reRequestedReads";
+    case Ctr::RecoveryReplayedFrames: return "recovery.replayedFrames";
+    case Ctr::RecoveryReplayedTokens: return "recovery.replayedTokens";
+    case Ctr::RuntimeErrors: return "runtime.errors";
+    case Ctr::SpCompleted: return "sp.completed";
+    case Ctr::SpInstantiated: return "sp.instantiated";
+    case Ctr::TokensDropped: return "tokens.dropped";
+    case Ctr::TokensMatched: return "tokens.matched";
+    case Ctr::TokensReplayDup: return "tokens.replayDup";
+    case Ctr::TokensSent: return "tokens.sent";
+    case Ctr::TraceDropped: return "trace.dropped";
+    case Ctr::Count_: break;
+  }
+  return "?";
+}
+
+/// The run's typed counter slots. Only touched slots are emitted, so the
+/// registry's key set is exactly what per-bump Counters::add would have
+/// produced, including keys added with a zero delta.
+struct CounterSlots {
+  std::array<std::int64_t, kNumCtrs> value{};
+  std::array<bool, kNumCtrs> touched{};
+
+  void add(Ctr c, std::int64_t delta = 1) {
+    const auto i = static_cast<std::size_t>(c);
+    value[i] += delta;
+    touched[i] = true;
+  }
+  void emitTo(Counters& out) const {
+    for (std::size_t i = 0; i < kNumCtrs; ++i)
+      if (touched[i]) out.add(ctrName(static_cast<Ctr>(i)), value[i]);
+  }
+};
+
 /// Deferred reads parked on one absent element (at its owner).
 struct Deferred {
   std::vector<Cont> localWaiters;
@@ -303,6 +431,23 @@ struct Machine::Impl {
   CalendarQueue<Ev> cq;
   std::priority_queue<Ev, std::vector<Ev>, EvLater> q;  // BinaryHeap engine
   std::int64_t heapPeak = 0;                            // BinaryHeap depth gauge
+  // Calendar engine: EU kicks bypass the calendar queue. A kick carries no
+  // payload beyond its PE and incarnation, and in lockstep runs the EU
+  // yields through one after nearly every instruction, so kicks live in
+  // this small min-heap instead of round-tripping a full Ev through the
+  // slab. pushKick still reserves the global seq the heap engine stamps,
+  // and every head query takes the smaller of this heap's top and the
+  // calendar's head, so the (t, seq) dispatch stream is unchanged event for
+  // event. Kicks are never indexed for kill triage: a kick from a dead
+  // incarnation stays queued (steering the EU yield check exactly as the
+  // heap engine's queued kick does) and is dropped when it pops.
+  struct Kick {
+    EvKey key;
+    std::uint16_t pe = 0;
+    std::uint32_t inc = 0;
+  };
+  std::priority_queue<Kick, std::vector<Kick>, KeyLater> kicks;
+  std::int64_t staleKicks = 0;  // dead-incarnation kicks dropped at pop
   std::uint64_t seq = 0;
   std::uint64_t eventsProcessed = 0;
   SimTime now{};
@@ -312,6 +457,7 @@ struct Machine::Impl {
   std::int64_t liveSps = 0;
   std::int64_t peakLiveSps = 0;
   RunStats stats;
+  CounterSlots ctrs;  // fixed-name counters, emitted into stats at finalize()
   std::vector<bool> resultSet;
   int errorCount = 0;
   // Reliable-delivery sender half (lossy mode): the protocol core tracks
@@ -335,13 +481,8 @@ struct Machine::Impl {
     std::uint64_t msgId = 0;
     std::uint32_t attempt = 0;
   };
-  struct TimerEntLater {
-    bool operator()(const TimerEnt& a, const TimerEnt& b) const {
-      return b.key < a.key;
-    }
-  };
   struct LinkTimerState {
-    std::priority_queue<TimerEnt, std::vector<TimerEnt>, TimerEntLater> heap;
+    std::priority_queue<TimerEnt, std::vector<TimerEnt>, KeyLater> heap;
     EvKey scheduled{-1, 0};  // key of the in-flight wakeup; t < 0 = none
   };
   std::unordered_map<std::uint32_t, LinkTimerState> linkTimers;
@@ -438,7 +579,14 @@ struct Machine::Impl {
   // --- event-queue access (engine-neutral) ---------------------------------
 
   bool queueEmpty() {
-    return calendar ? cq.empty() : q.empty();
+    return calendar ? cq.empty() && kicks.empty() : q.empty();
+  }
+
+  /// Calendar engine: true when the next event in (t, seq) order is a kick.
+  bool kickIsNext() {
+    if (kicks.empty()) return false;
+    const EvKey* k = cq.peekKey();
+    return k == nullptr || kicks.top().key < *k;
   }
 
   /// `ghost` is set when the popped slot was already triaged at peKill time
@@ -456,6 +604,7 @@ struct Machine::Impl {
   /// strictly earlier than local time `t`?
   bool headEarlierThan(SimTime t) {
     if (calendar) {
+      if (!kicks.empty() && kicks.top().key.t < t.ns) return true;
       const EvKey* k = cq.peekKey();
       return k != nullptr && k->t < t.ns;
     }
@@ -464,7 +613,7 @@ struct Machine::Impl {
 
   void runtimeError(const std::string& msg) {
     if (errorCount++ == 0) stats.error = msg;
-    stats.counters.add("runtime.errors");
+    ctrs.add(Ctr::RuntimeErrors);
   }
 
   /// Serial-resource scheduling: returns completion time, accrues busy time.
@@ -488,7 +637,7 @@ struct Machine::Impl {
       // Keep recording the *fact* of truncation: the counter counts every
       // drop and writeTrace() emits one marker event, so a consumer can
       // tell a short trace from a clipped one.
-      stats.counters.add("trace.dropped");
+      ctrs.add(Ctr::TraceDropped);
       ++traceDropped;
       return;
     }
@@ -567,15 +716,15 @@ struct Machine::Impl {
     const SimTime arrive = at + tm.networkHop;
     switch (plan.action(++netSeq)) {
       case FaultAction::Drop:
-        stats.counters.add("fault.drops");
+        ctrs.add(Ctr::FaultDrops);
         break;  // the retransmit timer recovers it
       case FaultAction::Duplicate:
-        stats.counters.add("fault.dups");
+        ctrs.add(Ctr::FaultDups);
         deliverAt(arrive);
         deliverAt(arrive + tm.networkHop);
         break;
       case FaultAction::Delay:
-        stats.counters.add("fault.delays");
+        ctrs.add(Ctr::FaultDelays);
         deliverAt(arrive + usec(cfg.faults.simDelayUs));
         break;
       case FaultAction::Deliver:
@@ -695,13 +844,13 @@ struct Machine::Impl {
     if (P.dead) {
       // A dead PE neither receives nor acknowledges: the sender's
       // retransmit timer re-offers the message until after the restart.
-      stats.counters.add("fault.deadDrops");
+      ctrs.add(Ctr::FaultDeadDrops);
       return false;
     }
     const bool fresh = P.rx.accept(ev.msgId);
     if (fresh) {
       if (plan.stallHit(++netSeq)) {
-        stats.counters.add("fault.stalls");
+        ctrs.add(Ctr::FaultStalls);
         const SimTime stallEnd = ev.t + usec(cfg.faults.simStallUs);
         if (stallEnd > P.euFree) P.euFree = stallEnd;
       }
@@ -731,15 +880,15 @@ struct Machine::Impl {
     const SimTime arrive = done + tm.networkHop;
     switch (plan.action(++netSeq)) {
       case FaultAction::Drop:
-        stats.counters.add("fault.drops");
+        ctrs.add(Ctr::FaultDrops);
         break;  // sender retransmits; we will dedup and re-ack
       case FaultAction::Duplicate:
-        stats.counters.add("fault.dups");
+        ctrs.add(Ctr::FaultDups);
         ackAt(arrive);
         ackAt(arrive + tm.networkHop);  // second copy erases nothing
         break;
       case FaultAction::Delay:
-        stats.counters.add("fault.delays");
+        ctrs.add(Ctr::FaultDelays);
         ackAt(arrive + usec(cfg.faults.simDelayUs));
         break;
       case FaultAction::Deliver:
@@ -798,7 +947,7 @@ struct Machine::Impl {
   void tokenToRemote(std::uint16_t fromPe, std::uint16_t toPe, SimTime t,
                      Token tok) {
     SimTime done = unitSched(fromPe, Unit::RU, t + tm.unitSignal, tm.tokenRoute());
-    stats.counters.add("net.tokens");
+    ctrs.add(Ctr::NetTokens);
     stats.counters.add(linkName(fromPe, toPe, "tokens"));
     if (faulty()) {
       netSend(fromPe, toPe, done, /*isToken=*/true, /*pageSized=*/false,
@@ -830,7 +979,7 @@ struct Machine::Impl {
   void broadcastToken(std::uint16_t fromPe, SimTime t, const Token& tok) {
     SimTime done =
         unitSched(fromPe, Unit::RU, t + tm.unitSignal, tm.tokenRoute());
-    stats.counters.add("net.broadcastTokens");
+    ctrs.add(Ctr::NetBroadcastTokens);
     for (int dest = 0; dest < cfg.numPEs; ++dest) {
       if (dest == fromPe) {
         tokenToLocalMu(fromPe, t, tok);
@@ -859,7 +1008,7 @@ struct Machine::Impl {
                   AmTask task, bool pageSized) {
     SimTime svc = pageSized ? tm.pageMessage() : tm.tokenRoute();
     SimTime done = unitSched(fromPe, Unit::RU, t + tm.unitSignal, svc);
-    stats.counters.add(pageSized ? "net.pages" : "net.arrayMsgs");
+    ctrs.add(pageSized ? Ctr::NetPages : Ctr::NetArrayMsgs);
     stats.counters.add(linkName(fromPe, toPe, pageSized ? "pages" : "arrayMsgs"));
     if (faulty()) {
       netSend(fromPe, toPe, done, /*isToken=*/false, pageSized, Token{},
@@ -903,11 +1052,23 @@ struct Machine::Impl {
     if (P.kickScheduled && P.kickAt <= want) return;
     P.kickScheduled = true;
     P.kickAt = want;
+    if (calendar) {
+      kicks.push({EvKey{want.ns, ++seq}, pe, P.incarnation});
+      return;
+    }
     Ev ev;
     ev.t = want;
     ev.kind = EvKind::EuKick;
     ev.pe = pe;
     push(std::move(ev));
+  }
+
+  /// A kick pops: clear the PE's pending-kick mark if this is the kick it
+  /// covers, and run the EU.
+  void euKick(std::uint16_t pe, SimTime t) {
+    PeState& P = pes[pe];
+    if (P.kickScheduled && t >= P.kickAt) P.kickScheduled = false;
+    euRun(pe, t);
   }
 
   void wakeIfBlockedOn(std::uint16_t pe, std::uint32_t frameIdx,
@@ -936,7 +1097,7 @@ struct Machine::Impl {
     P.frames.push_back(std::move(f));
     P.match[ctx] = idx;
     P.readyQ.push_back(idx);
-    stats.counters.add("sp.instantiated");
+    ctrs.add(Ctr::SpInstantiated);
     ++stats.spProfiles[spCode].instances;
     peakLiveSps = std::max(peakLiveSps, ++liveSps);
     pushKick(pe, t);
@@ -956,7 +1117,7 @@ struct Machine::Impl {
       slot = tok.cont.slot;
       if (frameIdx >= P.frames.size() ||
           P.frames[frameIdx].state == FrameState::Dead) {
-        stats.counters.add("tokens.dropped");
+        ctrs.add(Ctr::TokensDropped);
         return;
       }
       Frame& fr = P.frames[frameIdx];
@@ -967,7 +1128,7 @@ struct Machine::Impl {
         // ledger is keyed by the *consumer's* context — safe because dead
         // consumers drop their tokens above, before dedup is consulted —
         // so END can prune a retired instance's keys.
-        stats.counters.add("tokens.replayDup");
+        ctrs.add(Ctr::TokensReplayDup);
         return;
       }
       if (killMode() && fromMu && tok.sendKey != 0 && fr.replaying &&
@@ -978,12 +1139,12 @@ struct Machine::Impl {
         // slot. Park it; the re-send trigger delivers it in program order.
         P.pendingReplay[tok.senderCtx].push_back(recLogs[pe].entries.size());
         logToken(pe, tok, frameIdx);
-        stats.counters.add("recovery.parkedEarly");
+        ctrs.add(Ctr::RecoveryParkedEarly);
         return;
       }
     } else {
       if (killMode() && fromMu && !P.dedup.firstCtx(tok.ctx, tok.slot)) {
-        stats.counters.add("tokens.replayDup");
+        ctrs.add(Ctr::TokensReplayDup);
         return;
       }
       auto it = P.match.find(tok.ctx);
@@ -1223,7 +1384,7 @@ struct Machine::Impl {
       }
       case Op::ARD: {
         charge(false);  // flat 2.7 us local-read budget
-        stats.counters.add("array.reads");
+        ctrs.add(Ctr::ArrayReads);
         const ArrayId arr = f.slots[in.a].asArray();
         const std::int64_t i0 = f.slots[in.b].asInt();
         const std::int64_t i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
@@ -1240,7 +1401,7 @@ struct Machine::Impl {
               !info->elems[static_cast<std::size_t>(offset)].empty()) {
             // Local present element: the fast path the 2.7 us covers.
             f.slots[in.dst] = info->elems[static_cast<std::size_t>(offset)];
-            stats.counters.add("array.reads.localHit");
+            ctrs.add(Ctr::ArrayReadsLocalHit);
             break;
           }
         }
@@ -1256,7 +1417,7 @@ struct Machine::Impl {
       }
       case Op::AWR: {
         charge(false);
-        stats.counters.add("array.writes");
+        ctrs.add(Ctr::ArrayWrites);
         AmTask task;
         task.kind = AmTask::Kind::Write;
         task.arr = f.slots[in.a].asArray();
@@ -1327,7 +1488,7 @@ struct Machine::Impl {
         tok.slot = in.targetSlot();
         tok.ctx = static_cast<std::uint64_t>(f.slots[in.b].asInt());
         tok.v = f.slots[in.a];
-        stats.counters.add("tokens.sent");
+        ctrs.add(Ctr::TokensSent);
         const std::uint64_t targetCtx = tok.ctx;
         if (in.op == Op::SENDA) {
           sendToken(pe, pe, t, std::move(tok));
@@ -1362,7 +1523,7 @@ struct Machine::Impl {
           // Pre-increment: seq 0 on PE 0 would pack to the "unkeyed" 0.
           tok.sendKey = packSendKey(pe, ++f.sendSeq);
         }
-        stats.counters.add("tokens.sent");
+        ctrs.add(Ctr::TokensSent);
         sendToken(pe, c.pe, t, std::move(tok));
         break;
       }
@@ -1405,7 +1566,7 @@ struct Machine::Impl {
         f.slots.clear();
         f.slots.shrink_to_fit();
         unitSched(pe, Unit::MM, t, tm.frameListOp);  // frame release
-        stats.counters.add("sp.completed");
+        ctrs.add(Ctr::SpCompleted);
         --liveSps;
         return StepResult::Ended;
       }
@@ -1451,7 +1612,7 @@ struct Machine::Impl {
         if (idx != P.lastFrame) {
           t += tm.contextSwitch;
           euBusy(pe, tm.contextSwitch);
-          stats.counters.add("eu.contextSwitches");
+          ctrs.add(Ctr::EuContextSwitches);
           P.lastFrame = idx;
         }
         sliceStart = t;
@@ -1474,7 +1635,7 @@ struct Machine::Impl {
       StepResult r = step(pe, t, f);
       if (r == StepResult::Blocked) {
         P.current = -1;
-        stats.counters.add("eu.blocks");
+        ctrs.add(Ctr::EuBlocks);
         endSlice(t);
         continue;  // pick the next ready SP (context switch charged at pick)
       }
@@ -1483,7 +1644,7 @@ struct Machine::Impl {
         endSlice(t);
         continue;
       }
-      if (errorCount > 0 && stats.counters.get("runtime.errors") > 64) {
+      if (errorCount > 64) {
         // Runaway error loop: stop making progress on this PE.
         endSlice(t);
         P.euFree = t;
@@ -1502,7 +1663,7 @@ struct Machine::Impl {
         !headerPresent(pe, task.arr)) {
       unitSched(pe, Unit::AM, t, tm.memRead);
       P.pendingHeader[task.arr].push_back(task);
-      stats.counters.add("am.deferredOnHeader");
+      ctrs.add(Ctr::AmDeferredOnHeader);
       return;
     }
     switch (task.kind) {
@@ -1516,7 +1677,7 @@ struct Machine::Impl {
                   recLogs[pe].findMint(task.senderCtx, task.mintSeq)) {
             P.headers.emplace(m->asArray(), 0);
             fillSlotLater(pe, done + tm.unitSignal, task.cont, *m);
-            stats.counters.add("array.allocs.replayDup");
+            ctrs.add(Ctr::ArrayAllocsReplayDup);
             flushPendingHeader(pe, done, m->asArray());
             break;
           }
@@ -1535,13 +1696,13 @@ struct Machine::Impl {
             for (int d = 0; d < cfg.numPEs; ++d)
               if (pes[d].dead) {
                 born->layout.migratePe(d);
-                stats.counters.add("recovery.migratedArrays");
+                ctrs.add(Ctr::RecoveryMigratedArrays);
               }
           }
         }
         P.headers.emplace(id, 0);
         fillSlotLater(pe, done + tm.unitSignal, task.cont, Value::arrayv(id));
-        stats.counters.add("array.allocs");
+        ctrs.add(Ctr::ArrayAllocs);
         if (task.distributed && cfg.numPEs > 1) {
           // Broadcast the allocation to all other PEs (one message injection,
           // replicated by the network like the LD broadcast).
@@ -1658,12 +1819,12 @@ struct Machine::Impl {
       } else {
         unitSched(pe, Unit::AM, t, tm.enqueueRead);
         P.deferred[task.arr][offset].localWaiters.push_back(task.cont);
-        stats.counters.add("array.reads.deferred");
+        ctrs.add(Ctr::ArrayReadsDeferred);
       }
       return;
     }
     // Remote element: consult the software page cache first.
-    stats.counters.add("array.reads.remote");
+    ctrs.add(Ctr::ArrayReadsRemote);
     const std::int64_t page = info->layout.pageOfOffset(offset);
     const int within = static_cast<int>(offset % tm.pageElems);
     if (cfg.cachePages) {
@@ -1672,7 +1833,7 @@ struct Machine::Impl {
         SimTime done = unitSched(pe, Unit::AM, t, tm.memRead);
         fillSlotLater(pe, done + tm.unitSignal, task.cont,
                       info->elems[static_cast<std::size_t>(offset)]);
-        stats.counters.add("array.reads.cacheHit");
+        ctrs.add(Ctr::ArrayReadsCacheHit);
         return;
       }
     }
@@ -1682,7 +1843,7 @@ struct Machine::Impl {
     if (pit != pending.end()) {
       unitSched(pe, Unit::AM, t, tm.memRead);
       pit->second.push_back(task.cont);
-      stats.counters.add("array.reads.coalesced");
+      ctrs.add(Ctr::ArrayReadsCoalesced);
       return;
     }
     pending[offset].push_back(task.cont);
@@ -1713,7 +1874,7 @@ struct Machine::Impl {
       if (off >= info.shape.numElems()) break;
       if (!info.elems[static_cast<std::size_t>(off)].empty()) pg.mask.set(i);
     }
-    stats.counters.add("array.pagesSent");
+    ctrs.add(Ctr::ArrayPagesSent);
     amToRemote(pe, toPe, done, pg, /*pageSized=*/true);
   }
 
@@ -1733,7 +1894,7 @@ struct Machine::Impl {
       if (waiting == task.fromPe) return;  // already queued
     }
     d.remotePes.push_back(task.fromPe);
-    stats.counters.add("array.reads.remoteDeferred");
+    ctrs.add(Ctr::ArrayReadsRemoteDeferred);
   }
 
   void amPageArrive(std::uint16_t pe, SimTime t, AmTask& task) {
@@ -1743,7 +1904,7 @@ struct Machine::Impl {
     if (cfg.cachePages) {
       P.cache[pageKey(task.arr, task.offset)].merge(task.mask);
     }
-    stats.counters.add("array.pagesReceived");
+    ctrs.add(Ctr::ArrayPagesReceived);
     // Satisfy every waiting read that this page covers.
     const ArrayInfo* info = store.find(task.arr);
     auto ait = P.pendingRemote.find(task.arr);
@@ -1783,7 +1944,7 @@ struct Machine::Impl {
         !info->elems[static_cast<std::size_t>(offset)].empty() &&
         info->elems[static_cast<std::size_t>(offset)].identical(task.v)) {
       unitSched(pe, Unit::AM, t, tm.memWrite);
-      stats.counters.add("array.writes.replayDup");
+      ctrs.add(Ctr::ArrayWritesReplayDup);
       return;
     }
     if (owner != pe) {
@@ -1804,7 +1965,7 @@ struct Machine::Impl {
             static_cast<int>(offset % tm.pageElems));
       }
       SimTime done = unitSched(pe, Unit::AM, t, tm.memWrite + tm.memRead);
-      stats.counters.add("array.writes.remote");
+      ctrs.add(Ctr::ArrayWritesRemote);
       task.forwarded = true;
       amToRemote(pe, static_cast<std::uint16_t>(owner), done, task,
                  /*pageSized=*/false);
@@ -1873,14 +2034,26 @@ struct Machine::Impl {
     }
   }
 
+  /// PE-local events a kill makes obsolete: EU kicks, AM slot fills and the
+  /// PE's own Array Manager requests, which re-execution regenerates.
+  static bool droppedOnKill(const Ev& ev) {
+    return ev.kind == EvKind::EuKick || ev.kind == EvKind::SlotFill ||
+           (ev.kind == EvKind::AmArrive && amTaskIsLocalRequest(ev.am));
+  }
+
+  /// True when a PE-local event stamped with incarnation `inc` belongs to a
+  /// life of `pe` that is over (or the PE is inside its dead window).
+  bool lostLife(std::uint16_t pe, std::uint32_t inc) const {
+    return inc != pes[pe].incarnation || pes[pe].dead;
+  }
+
   /// Filters events touching the killed PE. Events from a previous
-  /// incarnation are volatile-state artifacts: EU kicks, AM slot fills and
-  /// the PE's own Array Manager requests are dropped (re-execution
-  /// regenerates them), while token and network-origin Array Manager
-  /// deliveries are *held* — their senders may have retired before the
-  /// kill and will never resend — and re-injected after the rebuild,
-  /// where the logical dedup filters absorb any copy a replay also
-  /// regenerates. Returns true when the event must not be dispatched.
+  /// incarnation are volatile-state artifacts: droppedOnKill events are
+  /// dropped, while token and network-origin Array Manager deliveries are
+  /// *held* — their senders may have retired before the kill and will
+  /// never resend — and re-injected after the rebuild, where the logical
+  /// dedup filters absorb any copy a replay also regenerates. Returns true
+  /// when the event must not be dispatched.
   bool staleOrHeld(Ev& ev) {
     switch (ev.kind) {
       case EvKind::EuKick:
@@ -1893,14 +2066,13 @@ struct Machine::Impl {
         return false;  // network-layer + kill events are never PE-volatile
     }
     PeState& P = pes[ev.pe];
-    if (ev.inc == P.incarnation && !P.dead) return false;
-    if (ev.kind == EvKind::EuKick || ev.kind == EvKind::SlotFill ||
-        (ev.kind == EvKind::AmArrive && amTaskIsLocalRequest(ev.am))) {
-      stats.counters.add("recovery.droppedEvents");
+    if (!lostLife(ev.pe, ev.inc)) return false;
+    if (droppedOnKill(ev)) {
+      ctrs.add(Ctr::RecoveryDroppedEvents);
       return true;
     }
     if (P.dead) {
-      stats.counters.add("recovery.heldEvents");
+      ctrs.add(Ctr::RecoveryHeldEvents);
       deadHeld.push_back(std::move(ev));
       return true;
     }
@@ -1915,7 +2087,7 @@ struct Machine::Impl {
 
   void peKill(std::uint16_t pe, SimTime t) {
     PeState& P = pes[pe];
-    stats.counters.add("fault.kills");
+    ctrs.add(Ctr::FaultKills);
     P.incarnation += 1;
     P.dead = true;
     if (calendar) {
@@ -1930,13 +2102,13 @@ struct Machine::Impl {
       // dispatch-time triage would have seen. The taken slots stay queued
       // as ghosts: until each one's (t, seq) comes up, its key must keep
       // steering the EU yield check exactly as the still-queued event does
-      // in the heap engine, and its pop is counted when it happens.
+      // in the heap engine, and its pop is counted when it happens. (Kicks
+      // live in the kick heap, unindexed, and are dropped as they pop.)
       for (Ev& held : cq.takeIndexed(restartKey_)) {
-        if (held.kind == EvKind::EuKick || held.kind == EvKind::SlotFill ||
-            (held.kind == EvKind::AmArrive && amTaskIsLocalRequest(held.am))) {
-          stats.counters.add("recovery.droppedEvents");
+        if (droppedOnKill(held)) {
+          ctrs.add(Ctr::RecoveryDroppedEvents);
         } else {
-          stats.counters.add("recovery.heldEvents");
+          ctrs.add(Ctr::RecoveryHeldEvents);
           deadHeld.push_back(std::move(held));
         }
       }
@@ -1968,7 +2140,7 @@ struct Machine::Impl {
     PeState& P = pes[pe];
     PODS_CHECK(P.dead);
     P.dead = false;
-    stats.counters.add("fault.restarts");
+    ctrs.add(Ctr::FaultRestarts);
     RecoveryLog& L = recLogs[pe];
     for (std::size_t i = 0; i < L.entries.size(); ++i) {
       const RecEntry& e = L.entries[i];
@@ -2025,7 +2197,7 @@ struct Machine::Impl {
       P.readyQ.push_back(idx);
       ++replayed;
     }
-    stats.counters.add("recovery.replayedFrames", replayed);
+    ctrs.add(Ctr::RecoveryReplayedFrames, replayed);
     for (const auto& [id, info] : store.all()) {
       if (info.distributed || info.homePe == static_cast<int>(pe))
         P.headers.emplace(id, 0);
@@ -2046,7 +2218,7 @@ struct Machine::Impl {
         const std::uint32_t cf = held.tok.cont.frame;
         if (cf >= P.frames.size() ||
             P.frames[cf].state == FrameState::Dead) {
-          stats.counters.add("tokens.dropped");
+          ctrs.add(Ctr::TokensDropped);
           continue;
         }
         if (P.dedup.firstCont(P.frames[cf].ctx, held.tok.senderCtx,
@@ -2084,7 +2256,7 @@ struct Machine::Impl {
           req.fromPe = static_cast<std::uint16_t>(from);
           amToRemote(static_cast<std::uint16_t>(from), pe, t, req,
                      /*pageSized=*/false);
-          stats.counters.add("recovery.reRequestedReads");
+          ctrs.add(Ctr::RecoveryReRequestedReads);
         }
       }
     }
@@ -2131,7 +2303,7 @@ struct Machine::Impl {
       } else {
         f.slots[e.slot] = e.v;
       }
-      stats.counters.add("recovery.replayedTokens");
+      ctrs.add(Ctr::RecoveryReplayedTokens);
       idxs.erase(idxs.begin() + static_cast<std::ptrdiff_t>(i));
     }
     if (idxs.empty()) P.pendingReplay.erase(it);
@@ -2150,7 +2322,7 @@ struct Machine::Impl {
       P0.frames.push_back(std::move(f));
       P0.match[0] = 0;
       P0.readyQ.push_back(0);
-      stats.counters.add("sp.instantiated");
+      ctrs.add(Ctr::SpInstantiated);
       ++stats.spProfiles[prog.mainSp].instances;
       peakLiveSps = std::max(peakLiveSps, ++liveSps);
       pushKick(0, kTimeZero);
@@ -2184,6 +2356,23 @@ struct Machine::Impl {
       restartKey_ = EvKey{restartAt.ns, seq};  // push() stamped seq on it
     }
     while (!queueEmpty()) {
+      if (calendar && kickIsNext()) {
+        const Kick k = kicks.top();
+        kicks.pop();
+        ++eventsProcessed;
+        const SimTime t{k.key.t};
+        if (stopRequested(EvKind::EuKick, k.pe, t)) return finalize();
+        now = t;
+        // The staleOrHeld rule for a kick: one from a lost life is dropped.
+        if (killMode() && lostLife(k.pe, k.inc)) {
+          ctrs.add(Ctr::RecoveryDroppedEvents);
+          ++staleKicks;
+          continue;
+        }
+        euKick(k.pe, t);
+        if (now > lastUseful) lastUseful = now;
+        continue;
+      }
       bool ghost = false;
       Ev ev = popEvent(&ghost);
       // LinkTimer wakeups are calendar-engine plumbing, not simulation
@@ -2191,35 +2380,7 @@ struct Machine::Impl {
       // timer entry is consumed (fire or ack-cancel).
       const bool isWakeup = ev.kind == EvKind::LinkTimer;
       if (!isWakeup) ++eventsProcessed;
-      if (cfg.abort != nullptr &&
-          cfg.abort->load(std::memory_order_relaxed)) {
-        stats.ok = false;
-        stats.error = "aborted: external stop requested (watchdog) after " +
-                      std::to_string(eventsProcessed) +
-                      " events at simulated t=" + std::to_string(ev.t.us()) +
-                      "us";
-        stats.total = ev.t;
-        return finalize();
-      }
-      if (cfg.maxEvents && eventsProcessed > cfg.maxEvents) {
-        // Forensic report for the safety valve: which event tripped it,
-        // where, and what was still live at that moment. stats.total is
-        // stamped from the tripping event itself (`now` still holds the
-        // previous event's time here), so the reported total and tripping
-        // time agree.
-        int alive = 0;
-        const std::string sample = liveSpSample(alive);
-        stats.ok = false;
-        stats.error =
-            "event budget exhausted (possible livelock): event " +
-            std::to_string(eventsProcessed) + " exceeds maxEvents=" +
-            std::to_string(cfg.maxEvents) + "; tripping event was " +
-            evKindName(ev.kind) + " on PE " + std::to_string(ev.pe) +
-            " at simulated t=" + std::to_string(ev.t.us()) + "us; " +
-            std::to_string(alive) + " SPs live;" + sample;
-        stats.total = ev.t;
-        return finalize();
-      }
+      if (stopRequested(ev.kind, ev.pe, ev.t)) return finalize();
       now = ev.t;
       // Protocol bookkeeping (acks, retransmit timers, suppressed
       // duplicates) can trail past the last real work; `lastUseful` tracks
@@ -2232,15 +2393,12 @@ struct Machine::Impl {
       if (ghost) continue;
       if (killMode() && staleOrHeld(ev)) continue;
       switch (ev.kind) {
-        case EvKind::EuKick: {
-          PeState& P = pes[ev.pe];
-          if (P.kickScheduled && ev.t >= P.kickAt) P.kickScheduled = false;
-          euRun(ev.pe, ev.t);
+        case EvKind::EuKick:
+          euKick(ev.pe, ev.t);
           break;
-        }
         case EvKind::TokenAtMu: {
           SimTime done = unitSched(ev.pe, Unit::MU, ev.t, tm.matchTime);
-          stats.counters.add("tokens.matched");
+          ctrs.add(Ctr::TokensMatched);
           Ev del;
           del.t = done;
           del.kind = EvKind::TokenDeliver;
@@ -2307,6 +2465,35 @@ struct Machine::Impl {
     return finalize();
   }
 
+  /// The per-event prologue, run on every pop after it is counted: the
+  /// external abort flag, then the maxEvents safety valve. On a stop it
+  /// writes the forensic report — which event tripped it, where, and what
+  /// was still live — and returns true. stats.total is stamped from the
+  /// tripping event itself (`now` still holds the previous event's time
+  /// here), so the reported total and tripping time agree.
+  bool stopRequested(EvKind kind, std::uint16_t pe, SimTime t) {
+    if (cfg.abort != nullptr && cfg.abort->load(std::memory_order_relaxed)) {
+      stats.error = "aborted: external stop requested (watchdog) after " +
+                    std::to_string(eventsProcessed) +
+                    " events at simulated t=" + std::to_string(t.us()) + "us";
+    } else if (cfg.maxEvents && eventsProcessed > cfg.maxEvents) {
+      int alive = 0;
+      const std::string sample = liveSpSample(alive);
+      stats.error =
+          "event budget exhausted (possible livelock): event " +
+          std::to_string(eventsProcessed) + " exceeds maxEvents=" +
+          std::to_string(cfg.maxEvents) + "; tripping event was " +
+          evKindName(kind) + " on PE " + std::to_string(pe) +
+          " at simulated t=" + std::to_string(t.us()) + "us; " +
+          std::to_string(alive) + " SPs live;" + sample;
+    } else {
+      return false;
+    }
+    stats.ok = false;
+    stats.total = t;
+    return true;
+  }
+
   /// Samples live (non-Dead) frames for diagnostics: "[pe0 conduction pc=3
   /// blocked on row]" entries, capped at ~200 chars. Sets `alive` to the
   /// full count. Shared by the deadlock, event-budget, and abort reports.
@@ -2338,6 +2525,11 @@ struct Machine::Impl {
     }
     stats.counters.add("events", static_cast<std::int64_t>(eventsProcessed));
     stats.counters.add("sp.peakLive", peakLiveSps);
+    // Counter parity with native.instructions, summed here so the hot path
+    // pays nothing beyond the per-SP profile it already keeps.
+    std::int64_t instructions = 0;
+    for (const SpProfile& p : stats.spProfiles) instructions += p.instructions;
+    stats.counters.add("sim.instructions", instructions);
     stats.events = eventsProcessed;
     // Event-engine health gauges. Deterministic (derived from the event
     // stream alone), but engine-specific: the bit-identity suites compare
@@ -2354,6 +2546,7 @@ struct Machine::Impl {
       stats.counters.add("sim.eventq.pushedRing", eq.pushedRing);
       stats.counters.add("sim.eventq.pushedOverflow", eq.pushedOverflow);
       stats.counters.add("sim.eventq.bucketWidthNs", cq.bucketWidthNs());
+      stats.counters.add("sim.eventq.staleKicks", staleKicks);
     } else {
       stats.counters.add("sim.eventq.peakDepth", heapPeak);
     }
@@ -2376,6 +2569,7 @@ struct Machine::Impl {
       stats.counters.add("recovery.mints.live", liveMints);
     }
     if (tracing) writeTrace();
+    ctrs.emitTo(stats.counters);  // after writeTrace, which may count an error
     // Diagnose incomplete executions.
     if (stats.error.empty()) {
       int alive = 0;

@@ -186,11 +186,28 @@ TEST(FaultFuzz, SimRecursiveWorkload) {
   }
 }
 
+/// Runs `mc` on the calendar event engine and on the reference binary heap:
+/// outputs, simulated completion time, and every simulation-visible counter
+/// (including the raw "events" dispatch count) must match bit for bit.
+void expectEnginesBitIdentical(const Compiled& c, sim::MachineConfig mc,
+                               const std::string& where) {
+  mc.eventEngine = sim::EventEngine::Calendar;
+  PodsRun cal = runPods(c, mc);
+  mc.eventEngine = sim::EventEngine::BinaryHeap;
+  PodsRun heap = runPods(c, mc);
+  ASSERT_TRUE(cal.stats.ok) << where << ": " << cal.stats.error;
+  ASSERT_TRUE(heap.stats.ok) << where << ": " << heap.stats.error;
+  EXPECT_EQ(cal.stats.total.ns, heap.stats.total.ns) << where;
+  EXPECT_EQ(portableCounterMap(cal.stats.counters),
+            portableCounterMap(heap.stats.counters))
+      << where;
+  std::string why;
+  EXPECT_TRUE(sameOutputs(cal.out, heap.out, &why)) << where << ": " << why;
+}
+
 // The calendar event engine against the reference binary heap, across the
-// whole fault fuzz matrix plus fault-free runs: outputs, simulated
-// completion time, and every simulation-visible counter (including the raw
-// "events" dispatch count) must match bit for bit. This is the contract
-// that lets the calendar queue be the default engine.
+// whole fault fuzz matrix plus fault-free runs. This is the contract that
+// lets the calendar queue be the default engine.
 TEST(FaultFuzz, SimCalendarVsHeapBitIdentical) {
   auto c = compileOk(workloads::simpleSource(16, 2));
   const int seeds = faultSeeds();
@@ -199,24 +216,29 @@ TEST(FaultFuzz, SimCalendarVsHeapBitIdentical) {
       sim::MachineConfig mc;
       mc.numPEs = pes;
       if (seed > 0) mc.faults = faultRates(static_cast<std::uint64_t>(seed));
-      mc.eventEngine = sim::EventEngine::Calendar;
-      PodsRun cal = runPods(*c, mc);
-      mc.eventEngine = sim::EventEngine::BinaryHeap;
-      PodsRun heap = runPods(*c, mc);
-      ASSERT_TRUE(cal.stats.ok)
-          << "pes=" << pes << " seed=" << seed << ": " << cal.stats.error;
-      ASSERT_TRUE(heap.stats.ok)
-          << "pes=" << pes << " seed=" << seed << ": " << heap.stats.error;
-      EXPECT_EQ(cal.stats.total.ns, heap.stats.total.ns)
-          << "pes=" << pes << " seed=" << seed;
-      EXPECT_EQ(portableCounterMap(cal.stats.counters),
-                portableCounterMap(heap.stats.counters))
-          << "pes=" << pes << " seed=" << seed;
-      std::string why;
-      ASSERT_TRUE(sameOutputs(cal.out, heap.out, &why))
-          << "pes=" << pes << " seed=" << seed << ": " << why;
+      expectEnginesBitIdentical(
+          *c, mc, "pes=" + std::to_string(pes) + " seed=" + std::to_string(seed));
     }
   }
+}
+
+// The same contract on wide lockstep machines, fault-free. With many PEs in
+// lockstep the EU yields after nearly every instruction, so EU kicks are
+// most of the event stream — the calendar engine keeps them in its own
+// kick heap, and this is where an ordering slip between that heap and the
+// calendar would show.
+TEST(FaultFuzz, SimCalendarVsHeapLockstepBitIdentical) {
+  auto simple = compileOk(workloads::simpleSource(32, 1));
+  for (int pes : {1, 16, 64}) {
+    sim::MachineConfig mc;
+    mc.numPEs = pes;
+    expectEnginesBitIdentical(*simple, mc,
+                              "simple32 pes=" + std::to_string(pes));
+  }
+  auto stencil = compileOk(workloads::stencilSource(48, 3));
+  sim::MachineConfig mc;
+  mc.numPEs = 16;
+  expectEnginesBitIdentical(*stencil, mc, "stencil48 pes=16");
 }
 
 TEST(FaultFuzz, SimBitDeterministicAcrossRepeats) {
@@ -396,6 +418,36 @@ TEST(MachineForensics, EventBudgetNamesTrippingEventAndLiveSps) {
                 "t=" + std::to_string(run.stats.total.us()) + "us"),
             std::string::npos)
       << run.stats.error << " vs total=" << run.stats.total.us();
+}
+
+// Kicks bypass the calendar queue, but they are events like any other to
+// the safety valve: across a sweep of budgets the report (tripping event
+// kind, PE, time, live SPs) and the stamped total must match the heap
+// engine exactly, and some budget must be tripped by an EuKick.
+TEST(MachineForensics, EventBudgetTrippedByKickMatchesHeapEngine) {
+  auto c = compileOk(workloads::simpleSource(12, 2));
+  int kickTrips = 0;
+  for (std::uint64_t budget = 1; budget <= 60; ++budget) {
+    sim::MachineConfig mc;
+    mc.numPEs = 4;
+    mc.maxEvents = budget;
+    mc.eventEngine = sim::EventEngine::Calendar;
+    PodsRun cal = runPods(*c, mc);
+    mc.eventEngine = sim::EventEngine::BinaryHeap;
+    PodsRun heap = runPods(*c, mc);
+    ASSERT_FALSE(cal.stats.ok) << "budget=" << budget;
+    EXPECT_EQ(cal.stats.error, heap.stats.error) << "budget=" << budget;
+    EXPECT_EQ(cal.stats.total.ns, heap.stats.total.ns) << "budget=" << budget;
+    if (cal.stats.error.find("tripping event was EuKick on PE ") ==
+        std::string::npos)
+      continue;
+    ++kickTrips;
+    EXPECT_NE(cal.stats.error.find(
+                  "t=" + std::to_string(cal.stats.total.us()) + "us"),
+              std::string::npos)
+        << cal.stats.error << " vs total=" << cal.stats.total.us();
+  }
+  EXPECT_GT(kickTrips, 0);
 }
 
 TEST(MachineForensics, SimAbortFlagStopsRun) {

@@ -327,11 +327,13 @@ TEST(KillFuzz, NativeWeightedOwnershipBitIdentical) {
 // and all simulation-visible counters (recovery.droppedEvents,
 // recovery.heldEvents, raw "events", ...) bit-identical. Also checks the
 // per-PE index actually did the triage (sim.eventq.indexTaken) somewhere in
-// the sweep.
+// the sweep, and that some victim's kick from its lost life was dropped
+// when it popped off the kick heap (sim.eventq.staleKicks), the one kind of
+// kill cleanup the calendar engine defers to pop time.
 TEST(KillFuzz, SimCalendarVsHeapBitIdentical) {
   auto c = compileOk(workloads::simpleSource(16, 2));
   const int seeds = killSeeds();
-  std::int64_t indexTaken = 0;
+  std::int64_t indexTaken = 0, staleKicks = 0, dropped = 0;
   for (int pes : killPes()) {
     sim::MachineConfig clean;
     clean.numPEs = pes;
@@ -369,11 +371,15 @@ TEST(KillFuzz, SimCalendarVsHeapBitIdentical) {
       ASSERT_TRUE(sameOutputs(cal.out, heap.out, &why))
           << "pes=" << pes << " seed=" << seed << ": " << why;
       indexTaken += cal.stats.counters.get("sim.eventq.indexTaken");
+      staleKicks += cal.stats.counters.get("sim.eventq.staleKicks");
+      dropped += cal.stats.counters.get("recovery.droppedEvents");
     }
   }
   // The per-PE index must have carried real triage work somewhere in the
   // sweep (kills with nothing pending on the victim legitimately take 0).
   EXPECT_GT(indexTaken, 0);
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(staleKicks, 0);
 }
 
 TEST(KillFuzz, SimBitDeterministicAcrossRepeats) {
