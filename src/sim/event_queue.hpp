@@ -10,23 +10,24 @@
 // O(1) amortized, and the Ev payloads live in a slab pool — the buckets and
 // heaps only shuffle 24-byte (key, index) slots.
 //
-// Ordering contract: pops come out strictly ordered by (t, seq), exactly the
-// order the old binary heap produced, so simulation outputs stay
-// bit-identical. seq is the caller's global push counter; callers may also
-// push with a previously reserved seq (used by the per-link retransmit-timer
-// collapse in machine.cpp) as long as every (t, seq) key pushed is unique
-// and never earlier than the last key popped.
+// Ordering contract: pops come out strictly ordered by EvKey (t, pushT, src).
+// No field depends on the order in which the host happened to push: pushT
+// is the simulated time of the action that pushed the event and src names
+// the pushing PE plus that PE's own push counter. Callers may push with a
+// previously reserved key (used by the per-link retransmit-timer collapse in
+// machine.cpp) as long as every key pushed is unique and never earlier than
+// the last key popped.
 //
 // A second, orthogonal service: entries can be pushed *indexed*, which links
 // them into an intrusive doubly linked list threaded through the pool. The
 // simulator indexes the kill victim's PE-local events so fail-stop triage
 // (peKill) can collect exactly that PE's pending events in O(victim) instead
 // of filtering the whole queue. takeIndexed() copies out every indexed entry
-// below a key bound, sorted by (t, seq) — the same order dispatch-time triage
+// below a key bound, sorted by key — the same order dispatch-time triage
 // would have seen them in — and turns the slots into *ghosts*: they stay
 // queued, keep presenting their key to peekKey() (a reference engine that
 // triages at dispatch still has these events at the head, where they steer
-// the EU yield check), and pop at their exact (t, seq) flagged as ghosts so
+// the EU yield check), and pop at their exact key flagged as ghosts so
 // the caller can count the pop without re-dispatching the event.
 #pragma once
 
@@ -40,23 +41,38 @@
 
 namespace pods::sim {
 
-/// Total order on simulator events: earlier simulated time first, push order
-/// (sequence number) breaking ties.
+/// Total order on simulator events: earlier simulated time first; among
+/// events at one time, the one pushed by the earlier simulated action, then
+/// the lower origin PE, then that PE's push order. An EU yield kick carries
+/// pushT = kYieldPushT and so sorts before every other event at its t: an
+/// EU that yields at t and resumes there acts exactly as one that never
+/// yielded.
 struct EvKey {
-  std::int64_t t = 0;      ///< simulated nanoseconds
-  std::uint64_t seq = 0;   ///< global push order
+  std::int64_t t = 0;       ///< simulated nanoseconds at which it fires
+  std::int64_t pushT = 0;   ///< simulated time of the pushing action
+  std::uint64_t src = 0;    ///< packSrc(origin PE, per-origin push counter)
 
   friend constexpr bool operator<(const EvKey& a, const EvKey& b) {
     if (a.t != b.t) return a.t < b.t;
-    return a.seq < b.seq;
+    if (a.pushT != b.pushT) return a.pushT < b.pushT;
+    return a.src < b.src;
   }
   friend constexpr bool operator==(const EvKey& a, const EvKey& b) {
-    return a.t == b.t && a.seq == b.seq;
+    return a.t == b.t && a.pushT == b.pushT && a.src == b.src;
   }
   friend constexpr bool operator!=(const EvKey& a, const EvKey& b) {
     return !(a == b);
   }
 };
+
+/// pushT of an EU yield kick: earlier than any real push time.
+inline constexpr std::int64_t kYieldPushT = -1;
+
+/// EvKey::src: the origin PE in the high 16 bits, its push counter below.
+constexpr std::uint64_t packSrc(std::uint16_t originPe, std::uint64_t counter) {
+  return (static_cast<std::uint64_t>(originPe) << 48) |
+         (counter & ((std::uint64_t{1} << 48) - 1));
+}
 
 /// Engine health/occupancy numbers, surfaced as sim.eventq.* counters.
 struct EventQStats {
@@ -97,7 +113,7 @@ class CalendarQueue {
     return &cur_.front().key;
   }
 
-  /// Pop the minimum-(t, seq) event. Must be nonempty. `ghost` (when
+  /// Pop the minimum-key event. Must be nonempty. `ghost` (when
   /// non-null) is set when the popped slot was consumed by takeIndexed():
   /// the payload is a copy of the triaged event, and the pop stands in for
   /// the dispatch the reference engine would have counted here.
@@ -144,11 +160,11 @@ class CalendarQueue {
     if (live_ > stats_.peakDepth) stats_.peakDepth = live_;
   }
 
-  /// Copy out every *indexed* entry with key < `bound`, sorted by (t, seq).
+  /// Copy out every *indexed* entry with key < `bound`, sorted by key.
   /// Entries at or past `bound` stay queued (and stay indexed). The taken
   /// slots stay queued as ghosts: they are unlinked from the index, but
   /// their keys remain visible to peekKey() and they still pop — flagged —
-  /// at their reserved (t, seq), so ordering-sensitive observers (the EU
+  /// at their reserved key, so ordering-sensitive observers (the EU
   /// yield check) and the pop count see exactly what a dispatch-time-triage
   /// engine would.
   std::vector<E> takeIndexed(const EvKey& bound) {

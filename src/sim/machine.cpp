@@ -189,9 +189,11 @@ const char* evKindName(EvKind k) {
 
 struct Ev {
   SimTime t{};
-  std::uint64_t seq = 0;
+  // Tie-break fields of the event's EvKey (see sim/event_queue.hpp).
+  std::int64_t pushT = 0;
+  std::uint64_t src = 0;
   EvKind kind = EvKind::EuKick;
-  std::uint16_t pe = 0;
+  std::uint16_t pe = 0;  // the PE whose state the event acts on
   Token tok{};
   AmTask am{};
   // Reliable-delivery fields (lossy mode only).
@@ -204,11 +206,10 @@ struct Ev {
   std::uint32_t inc = 0;
 };
 
+EvKey keyOf(const Ev& ev) { return {ev.t.ns, ev.pushT, ev.src}; }
+
 struct EvLater {
-  bool operator()(const Ev& a, const Ev& b) const {
-    if (a.t.ns != b.t.ns) return a.t.ns > b.t.ns;
-    return a.seq > b.seq;
-  }
+  bool operator()(const Ev& a, const Ev& b) const { return keyOf(b) < keyOf(a); }
 };
 
 /// Min-heap order for std::priority_queue on entries carrying an EvKey.
@@ -435,10 +436,9 @@ struct Machine::Impl {
   // payload beyond its PE and incarnation, and in lockstep runs the EU
   // yields through one after nearly every instruction, so kicks live in
   // this small min-heap instead of round-tripping a full Ev through the
-  // slab. pushKick still reserves the global seq the heap engine stamps,
-  // and every head query takes the smaller of this heap's top and the
-  // calendar's head, so the (t, seq) dispatch stream is unchanged event for
-  // event. Kicks are never indexed for kill triage: a kick from a dead
+  // slab. pushKick mints the same key the heap engine stamps, and every
+  // head query takes the smaller of this heap's top and the calendar's
+  // head, so the dispatch stream is the heap engine's, event for event. Kicks are never indexed for kill triage: a kick from a dead
   // incarnation stays queued (steering the EU yield check exactly as the
   // heap engine's queued kick does) and is dropped when it pops.
   struct Kick {
@@ -448,7 +448,13 @@ struct Machine::Impl {
   };
   std::priority_queue<Kick, std::vector<Kick>, KeyLater> kicks;
   std::int64_t staleKicks = 0;  // dead-incarnation kicks dropped at pop
-  std::uint64_t seq = 0;
+  // Event keys: the acting PE and its simulated time (set by the dispatcher
+  // for every event and by the EU before every instruction), plus per-PE
+  // push counters. Together they key every push independently of the host
+  // order in which PEs happen to act.
+  std::uint16_t actorPe = 0;
+  SimTime actorT{};
+  std::vector<std::uint64_t> pushCtr;
   std::uint64_t eventsProcessed = 0;
   SimTime now{};
   // Live-SP tracking: PODS removed the k-bounded-loop throttling, so the
@@ -469,12 +475,12 @@ struct Machine::Impl {
   // Per-link traffic counter names, built lazily ("net.link.F->T.<what>").
   proto::LinkNameCache linkNames;
   // Calendar engine, lossy mode: per-link retransmit-timer collapse. Every
-  // armed timeout still *reserves* a global sequence number (so the (t, seq)
-  // stream — and with it every tie-break — matches the binary heap engine
+  // armed timeout still *reserves* the key the binary heap engine would
+  // stamp on its timer event (so every tie-break matches that engine
   // exactly), but instead of one queue event per arm, each link keeps its
-  // own little (deadline, seq) min-heap and the global queue carries at most
+  // own little key-ordered min-heap and the global queue carries at most
   // one live LinkTimer wakeup per link, keyed by the link's earliest
-  // reserved (t, seq). Entries cancelled by an ack are pre-counted there
+  // reserved key. Entries cancelled by an ack are pre-counted there
   // (the heap engine pops them later as stale events) and lazily discarded.
   struct TimerEnt {
     EvKey key;
@@ -483,17 +489,17 @@ struct Machine::Impl {
   };
   struct LinkTimerState {
     std::priority_queue<TimerEnt, std::vector<TimerEnt>, KeyLater> heap;
-    EvKey scheduled{-1, 0};  // key of the in-flight wakeup; t < 0 = none
+    EvKey scheduled{-1, 0, 0};  // key of the in-flight wakeup; t < 0 = none
   };
   std::unordered_map<std::uint32_t, LinkTimerState> linkTimers;
-  // msgId -> (link, reserved seq of its live timer): the ack path cancels
+  // msgId -> (link, reserved key of its live timer): the ack path cancels
   // through this, and stale heap entries are recognized by its absence.
-  std::unordered_map<std::uint64_t, std::pair<std::uint32_t, std::uint64_t>>
+  std::unordered_map<std::uint64_t, std::pair<std::uint32_t, EvKey>>
       armedTimers;
-  // Calendar engine, kill mode: the (t, seq) key of the PeRestart event.
+  // Calendar engine, kill mode: the key of the PeRestart event.
   // peKill triages every indexed event ordered before it; later ones take
   // the ordinary already-restarted dispatch path.
-  EvKey restartKey_{-1, 0};
+  EvKey restartKey_{-1, 0, 0};
   bool killTriaged_ = false;
   // Completion time excluding stale retransmit timers that fire (and are
   // ignored) after the last real work; `now` still tracks the raw queue.
@@ -509,7 +515,8 @@ struct Machine::Impl {
         tm(c.timing),
         store(c.numPEs, c.timing.pageElems, c.peWeights),
         pes(static_cast<std::size_t>(c.numPEs)),
-        calendar(c.eventEngine == EventEngine::Calendar) {
+        calendar(c.eventEngine == EventEngine::Calendar),
+        pushCtr(static_cast<std::size_t>(c.numPEs), 0) {
     PODS_CHECK(c.numPEs >= 1 && c.numPEs <= 4096);
     PODS_CHECK_MSG(c.timing.pageElems >= 1 && c.timing.pageElems <= 256,
                    "pageElems must be in [1, 256]");
@@ -544,8 +551,20 @@ struct Machine::Impl {
 
   // --- infrastructure ------------------------------------------------------
 
-  void push(Ev ev) {
-    ev.seq = ++seq;
+  /// Mints the key of an event at `t` pushed by the current actor.
+  EvKey nextKey(SimTime t) {
+    return {t.ns, actorT.ns, packSrc(actorPe, ++pushCtr[actorPe])};
+  }
+
+  EvKey push(Ev ev) {
+    const EvKey key = nextKey(ev.t);
+    enqueue(std::move(ev), key);
+    return key;
+  }
+
+  void enqueue(Ev ev, const EvKey& key) {
+    ev.pushT = key.pushT;
+    ev.src = key.src;
     // Stamp PE-local events with the target's incarnation: if the PE dies
     // before the event fires, dispatch can tell it belongs to a lost life.
     bool peLocal = false;
@@ -567,7 +586,6 @@ struct Machine::Impl {
       // after triage nothing new needs indexing.
       const bool indexed = peLocal && killMode() && !killTriaged_ &&
                            static_cast<int>(ev.pe) == cfg.faults.killPe;
-      const EvKey key{ev.t.ns, ev.seq};
       cq.push(key, std::move(ev), indexed);
     } else {
       q.push(std::move(ev));
@@ -582,7 +600,7 @@ struct Machine::Impl {
     return calendar ? cq.empty() && kicks.empty() : q.empty();
   }
 
-  /// Calendar engine: true when the next event in (t, seq) order is a kick.
+  /// Calendar engine: true when the next event in key order is a kick.
   bool kickIsNext() {
     if (kicks.empty()) return false;
     const EvKey* k = cq.peekKey();
@@ -738,41 +756,41 @@ struct Machine::Impl {
   }
 
   void armTimeout(std::uint64_t msgId, std::uint32_t attempt, SimTime at) {
+    auto it = retx.find(msgId);
+    PODS_CHECK_MSG(it != retx.end(), "arming a timer for an unknown message");
     if (!calendar) {
       Ev ev;
       ev.t = at;
       ev.kind = EvKind::NetTimeout;
+      ev.pe = it->second.fromPe;  // the timer acts on the sender
       ev.msgId = msgId;
       ev.attempt = attempt;
       push(std::move(ev));
       return;
     }
-    // Calendar engine: reserve the sequence number the binary heap engine
-    // would have stamped on this timer event (keeping the global tie-break
-    // stream identical), but park the entry in its link's local heap; the
-    // global queue only carries the link's earliest deadline as a LinkTimer
-    // wakeup.
-    const std::uint64_t s = ++seq;
-    auto it = retx.find(msgId);
-    PODS_CHECK_MSG(it != retx.end(), "arming a timer for an unknown message");
+    // Calendar engine: reserve the key the binary heap engine would have
+    // stamped on this timer event (keeping every tie-break identical), but
+    // park the entry in its link's local heap; the global queue only
+    // carries the link's earliest deadline as a LinkTimer wakeup.
+    const EvKey key = nextKey(at);
     const std::uint32_t link = linkOf(it->second.fromPe, it->second.toPe);
     LinkTimerState& L = linkTimers[link];
-    const TimerEnt ent{EvKey{at.ns, s}, msgId, attempt};
-    armedTimers[msgId] = {link, s};
+    const TimerEnt ent{key, msgId, attempt};
+    armedTimers[msgId] = {link, key};
     L.heap.push(ent);
     scheduleLinkWakeup(link, L);
   }
 
   /// Ensures a LinkTimer wakeup is queued at the link heap's top key.
   /// Invariant: the top entry — live or ack-cancelled — always has a wakeup
-  /// at exactly its reserved (t, seq), so the global queue presents the
+  /// at exactly its reserved key, so the global queue presents the
   /// same head times the binary heap engine would (cancelled entries pop as
   /// no-ops at their reserved position, just like the heap engine's stale
   /// NetTimeout events). Superseded wakeups from previously later heads
   /// stay queued; the key guard at dispatch neutralizes them.
   void scheduleLinkWakeup(std::uint32_t link, LinkTimerState& L) {
     if (L.heap.empty()) {
-      L.scheduled = EvKey{-1, 0};
+      L.scheduled = EvKey{-1, 0, 0};
       return;
     }
     const EvKey k = L.heap.top().key;
@@ -780,8 +798,10 @@ struct Machine::Impl {
     L.scheduled = k;
     Ev ev;
     ev.t = SimTime{k.t};
-    ev.seq = k.seq;  // ride the entry's reserved sequence number
+    ev.pushT = k.pushT;  // ride the entry's reserved key
+    ev.src = k.src;
     ev.kind = EvKind::LinkTimer;
+    ev.pe = static_cast<std::uint16_t>(link >> 16);  // the sending PE
     ev.msgId = link;
     cq.push(k, std::move(ev), /*indexed=*/false);
   }
@@ -796,16 +816,16 @@ struct Machine::Impl {
     auto lit = linkTimers.find(link);
     if (lit == linkTimers.end()) return;
     LinkTimerState& L = lit->second;
-    const EvKey k{ev.t.ns, ev.seq};
-    if (L.scheduled == k) L.scheduled = EvKey{-1, 0};
+    const EvKey k = keyOf(ev);
+    if (L.scheduled == k) L.scheduled = EvKey{-1, 0, 0};
     if (!L.heap.empty() && L.heap.top().key == k) {
       const TimerEnt ent = L.heap.top();
       L.heap.pop();
       auto a = armedTimers.find(ent.msgId);
-      if (a != armedTimers.end() && a->second.second == ent.key.seq) {
+      if (a != armedTimers.end() && a->second.second == ent.key) {
         armedTimers.erase(a);
         // This is the pop the binary heap engine counts for the NetTimeout
-        // event carrying this reserved sequence number. (Cancelled entries
+        // event carrying this reserved key. (Cancelled entries
         // were pre-counted when their ack arrived.)
         ++eventsProcessed;
         fireTimeout(ent.msgId, ent.attempt, ev.t);
@@ -1046,21 +1066,26 @@ struct Machine::Impl {
 
   // --- Execution Unit ------------------------------------------------------
 
-  void pushKick(std::uint16_t pe, SimTime t) {
+  /// Schedules the PE's EU at `t` (or when it frees up). A `yield` kick —
+  /// the EU stepping aside mid-slice — keys with kYieldPushT so it resumes
+  /// before any other event at its time.
+  void pushKick(std::uint16_t pe, SimTime t, bool yield = false) {
     PeState& P = pes[pe];
     SimTime want = std::max(t, P.euFree);
     if (P.kickScheduled && P.kickAt <= want) return;
     P.kickScheduled = true;
     P.kickAt = want;
+    EvKey key = nextKey(want);
+    if (yield) key.pushT = kYieldPushT;
     if (calendar) {
-      kicks.push({EvKey{want.ns, ++seq}, pe, P.incarnation});
+      kicks.push({key, pe, P.incarnation});
       return;
     }
     Ev ev;
     ev.t = want;
     ev.kind = EvKind::EuKick;
     ev.pe = pe;
-    push(std::move(ev));
+    enqueue(std::move(ev), key);
   }
 
   /// A kick pops: clear the PE's pending-kick mark if this is the kick it
@@ -1628,10 +1653,11 @@ struct Machine::Impl {
         P.current = -1;
         P.euFree = t;
         endSlice(t);
-        pushKick(pe, t);
+        pushKick(pe, t, /*yield=*/true);
         return;
       }
       Frame& f = P.frames[static_cast<std::size_t>(P.current)];
+      actorT = t;  // the instruction's pushes key at its start time
       StepResult r = step(pe, t, f);
       if (r == StepResult::Blocked) {
         P.current = -1;
@@ -2092,7 +2118,7 @@ struct Machine::Impl {
     P.dead = true;
     if (calendar) {
       // Triage the victim's pending events NOW, straight off its index, in
-      // the same (t, seq) order the binary heap engine would have popped
+      // the same key order the binary heap engine would have popped
       // them across the dead window. Only events ordered before the
       // PeRestart event qualify: anything later pops after the rebuild and
       // takes the ordinary already-restarted path. No PE-local event
@@ -2100,7 +2126,7 @@ struct Machine::Impl {
       // itself is not running, and remote arrivals ride NetDeliver, which
       // drops at a dead receiver), so this captures exactly the set
       // dispatch-time triage would have seen. The taken slots stay queued
-      // as ghosts: until each one's (t, seq) comes up, its key must keep
+      // as ghosts: until each one's key comes up, it must keep
       // steering the EU yield check exactly as the still-queued event does
       // in the heap engine, and its pop is counted when it happens. (Kicks
       // live in the kick heap, unindexed, and are dropped as they pop.)
@@ -2351,9 +2377,7 @@ struct Machine::Impl {
       restart.kind = EvKind::PeRestart;
       restart.pe = static_cast<std::uint16_t>(cfg.faults.killPe);
       restart.t = usec(cfg.faults.killTimeUs + cfg.faults.killRestartUs);
-      const SimTime restartAt = restart.t;
-      push(std::move(restart));
-      restartKey_ = EvKey{restartAt.ns, seq};  // push() stamped seq on it
+      restartKey_ = push(std::move(restart));
     }
     while (!queueEmpty()) {
       if (calendar && kickIsNext()) {
@@ -2363,6 +2387,8 @@ struct Machine::Impl {
         const SimTime t{k.key.t};
         if (stopRequested(EvKind::EuKick, k.pe, t)) return finalize();
         now = t;
+        actorPe = k.pe;
+        actorT = t;
         // The staleOrHeld rule for a kick: one from a lost life is dropped.
         if (killMode() && lostLife(k.pe, k.inc)) {
           ctrs.add(Ctr::RecoveryDroppedEvents);
@@ -2382,11 +2408,13 @@ struct Machine::Impl {
       if (!isWakeup) ++eventsProcessed;
       if (stopRequested(ev.kind, ev.pe, ev.t)) return finalize();
       now = ev.t;
+      actorPe = ev.pe;
+      actorT = ev.t;
       // Protocol bookkeeping (acks, retransmit timers, suppressed
       // duplicates) can trail past the last real work; `lastUseful` tracks
       // the completion time the program actually observed.
       bool useful = true;
-      // A ghost is a kill-triaged event popping at its reserved (t, seq):
+      // A ghost is a kill-triaged event popping at its reserved key:
       // the drop/hold bookkeeping already happened at peKill, so the pop is
       // counted (above) but not dispatched — the same no-op the heap engine
       // performs when staleOrHeld swallows the event here.
@@ -2423,7 +2451,7 @@ struct Machine::Impl {
           sender.onAck(ev.msgId);
           retx.erase(ev.msgId);
           if (calendar) {
-            // Cancel the message's armed timer entry. Its reserved-seq slot
+            // Cancel the message's armed timer entry. Its reserved-key slot
             // still pops (as a no-op) at its deadline; count that pop here,
             // where the heap engine's stale NetTimeout becomes inevitable.
             auto a = armedTimers.find(ev.msgId);

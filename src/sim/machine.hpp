@@ -17,7 +17,8 @@
 //                          network (fixed 2.5-hop latency)
 //
 // The whole machine advances through one global discrete-event queue ordered
-// by (time, sequence number), which makes every run bit-deterministic.
+// by (time, push time, origin PE, per-PE push counter) — a key that does not
+// depend on host push order — which makes every run bit-deterministic.
 #pragma once
 
 #include <array>
