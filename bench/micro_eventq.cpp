@@ -44,13 +44,13 @@ void BM_CalendarHold(benchmark::State& state) {
   std::uint64_t rng = 42, seq = 0;
   std::int64_t now = 0;
   for (std::size_t i = 0; i < depth; ++i)
-    q.push({holdDelta(rng), ++seq}, Payload{});
+    q.push({holdDelta(rng), 0, pods::sim::packSrc(0, ++seq)}, Payload{});
   for (auto _ : state) {
     pods::sim::EvKey k;
     Payload p = q.pop(&k);
     benchmark::DoNotOptimize(p);
     now = k.t;
-    q.push({now + holdDelta(rng), ++seq}, Payload{});
+    q.push({now + holdDelta(rng), now, pods::sim::packSrc(0, ++seq)}, Payload{});
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -69,13 +69,13 @@ void BM_HeapHold(benchmark::State& state) {
   std::uint64_t rng = 42, seq = 0;
   std::int64_t now = 0;
   for (std::size_t i = 0; i < depth; ++i)
-    q.push({{holdDelta(rng), ++seq}, Payload{}});
+    q.push({{holdDelta(rng), 0, pods::sim::packSrc(0, ++seq)}, Payload{}});
   for (auto _ : state) {
     Ent e = q.top();
     q.pop();
     benchmark::DoNotOptimize(e);
     now = e.key.t;
-    q.push({{now + holdDelta(rng), ++seq}, Payload{}});
+    q.push({{now + holdDelta(rng), now, pods::sim::packSrc(0, ++seq)}, Payload{}});
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -88,16 +88,20 @@ void BM_SimRun(benchmark::State& state, const std::string& source, int pes,
                pods::sim::EventEngine engine) {
   auto cr = pods::compile(source);
   std::uint64_t events = 0;
+  std::int64_t instrs = 0;
   for (auto _ : state) {
     pods::sim::MachineConfig mc;
     mc.numPEs = pes;
     mc.eventEngine = engine;
     pods::PodsRun run = pods::runPods(*cr.compiled, mc);
     events += run.stats.events;
+    instrs += run.stats.counters.get("sim.instructions");
     benchmark::DoNotOptimize(run);
   }
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
+  state.counters["events/instr"] =
+      instrs > 0 ? static_cast<double>(events) / static_cast<double>(instrs) : 0.0;
 }
 void BM_SimFill2d_Calendar(benchmark::State& state) {
   BM_SimRun(state, pods::workloads::fill2dSource(32, 32), 8,
@@ -110,9 +114,10 @@ void BM_SimFill2d_Heap(benchmark::State& state) {
 BENCHMARK(BM_SimFill2d_Calendar);
 BENCHMARK(BM_SimFill2d_Heap);
 
-// The kick path: 16 PEs in lockstep yield to the queue after nearly every
-// instruction, so most events are EU kicks (the calendar engine's kick heap;
-// the heap engine's ordinary queued events).
+// The kick path: under the exact yield rule (the heap engine) 16 PEs in
+// lockstep yield to the queue after nearly every instruction, so most events
+// are EU kicks; the calendar engine's lookahead lets each EU run on for up
+// to the 23 us cross-PE latency.
 void BM_SimSimple16_Calendar(benchmark::State& state) {
   BM_SimRun(state, pods::workloads::simpleSource(32, 1), 16,
             pods::sim::EventEngine::Calendar);

@@ -3,9 +3,12 @@
 // Thanks to single assignment an element has exactly one value ever, so the
 // simulator keeps one authoritative copy of each array (the union of all
 // owners' segments) plus per-PE *metadata* (headers, page caches, deferred
-// queues) inside the machine. Presence in this store is, at any simulated
-// instant, exactly the owner's presence-bit view; cached copies remember the
-// presence mask snapshot taken when their page was shipped.
+// queues) inside the machine. A value lands in `elems` as soon as its writer
+// commits it — a remote writer commits before its forwarded notice reaches
+// the owner — so the owner's presence-bit view is kept apart in `atOwner`:
+// it is set only when the owner's Array Manager applies the write. Cached
+// copies remember the atOwner mask snapshot taken when their page was
+// shipped.
 #pragma once
 
 #include <string>
@@ -24,6 +27,7 @@ struct ArrayInfo {
   int homePe = 0;  // owner of everything when not distributed
   ArrayLayout layout;
   std::vector<Value> elems;  // Tag::Empty == absent
+  std::vector<bool> atOwner;  // owner's presence bits (see file comment)
 
   ArrayInfo(ArrayId i, ArrayShape s, bool dist, int home, int numPEs,
             int pageElems, const std::vector<std::int64_t>& peWeights)
@@ -32,7 +36,8 @@ struct ArrayInfo {
         distributed(dist),
         homePe(home),
         layout(s, numPEs, pageElems, peWeights),
-        elems(static_cast<std::size_t>(s.numElems())) {}
+        elems(static_cast<std::size_t>(s.numElems())),
+        atOwner(static_cast<std::size_t>(s.numElems()), false) {}
 
   int owner(std::int64_t offset) const {
     return distributed ? layout.ownerOfOffset(offset) : homePe;

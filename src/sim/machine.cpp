@@ -4,7 +4,10 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
+#include <functional>
+#include <limits>
 #include <queue>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -17,15 +20,31 @@
 // Implementation notes.
 //
 // Event granularity: the Execution Unit executes straight-line runs of
-// instructions inside one event dispatch, yielding back to the global queue
-// whenever its local time passes the queue's next event time, so cross-PE
-// interleaving is exact at instruction granularity. Array Manager tasks are
-// single-phase: state mutations apply at task arrival while their *effects*
-// (responses, page sends) are scheduled at the service-completion time; this
-// makes state visible at most one AM service time early, which is a
-// deterministic and negligible approximation. Frame creation charges the
-// Memory Manager's list-operation time as busy work without delaying the
-// first token's delivery (0.9 us, likewise negligible).
+// instructions inside one event dispatch. The exact rule — the binary heap
+// engine's, and every engine's in lossy or kill runs — yields back to the
+// global queue whenever any event is due before the EU's local time, so the
+// EU acts at instruction granularity in global time order. The calendar
+// engine's fault-free runs use a conservative (Chandy–Misra / YAWNS)
+// lookahead instead: nothing one PE does reaches another PE sooner than
+// L = Timing::crossPeLatency() (23 us), so an EU may run on while its clock
+// is no later than its own PE's earliest pending event and earlier than the
+// global head + L. The window is computed once per EU slice and tightened
+// on each push (own events bound it directly, others' at their time + L);
+// push() checks every cross-PE event against L. The result equals the
+// exact rule bit for bit because event keys do not depend on host push
+// order (sim/event_queue.hpp) and an EU instruction reads only its own PE's
+// state: an array element counts as present at its owner only once the
+// owner's Array Manager has applied the write (ArrayInfo::atOwner), and
+// gauges other PEs' actions feed (sp.peakLive, the reported error) are
+// ordered by simulated time, not host order. Lossy and kill runs keep
+// L = 0: their fault dice and message ids are drawn in host order.
+//
+// Array Manager tasks are single-phase: state mutations apply at task
+// arrival while their *effects* (responses, page sends) are scheduled at the
+// service-completion time; this makes state visible at most one AM service
+// time early, which is a deterministic and negligible approximation. Frame
+// creation charges the Memory Manager's list-operation time as busy work
+// without delaying the first token's delivery (0.9 us, likewise negligible).
 //
 // Fault injection & reliable delivery: with any nonzero rate in
 // MachineConfig::faults, every remote message (tokens, array messages,
@@ -357,6 +376,12 @@ struct PeState {
   bool kickScheduled = false;
   SimTime kickAt{};
   std::uint64_t ctxCounter = 0;
+  int errors = 0;  // runtime errors raised by this PE's actions
+  // Trace: the running frame's open EU slice. It survives yields and closes
+  // only when the frame blocks or ends, so slices do not depend on how
+  // often the engine made the EU yield.
+  SimTime sliceStart{};
+  const std::string* sliceName = nullptr;
 
   // Unit resources (EU accounted separately through euFree/busy).
   std::array<SimTime, kNumUnits> unitFree{};
@@ -457,15 +482,32 @@ struct Machine::Impl {
   std::vector<std::uint64_t> pushCtr;
   std::uint64_t eventsProcessed = 0;
   SimTime now{};
+  // Conservative lookahead (see the implementation notes): L, whether the
+  // calendar engine runs EUs ahead of the global head, each PE's pending
+  // event times (a min-heap kept only under lookahead), and the open EU
+  // slice's window: it may run instructions starting at or before
+  // sliceLimit.
+  const std::int64_t crossPeNs;
+  const bool lookahead;
+  std::vector<std::priority_queue<std::int64_t, std::vector<std::int64_t>,
+                                  std::greater<>>>
+      pendingAt;
+  bool inSlice = false;  // an EU slice is running; its PE is actorPe
+  std::int64_t sliceLimit = 0;
   // Live-SP tracking: PODS removed the k-bounded-loop throttling, so the
   // only bound on concurrently-live SP frames is data availability. The
-  // peak is reported as counter "sp.peakLive".
-  std::int64_t liveSps = 0;
-  std::int64_t peakLiveSps = 0;
+  // peak is reported as counter "sp.peakLive". Frames start and end on
+  // different PEs whose actions the lookahead does not run in global time
+  // order, so each change is logged as (simulated time << 1 | up) and the
+  // log is merged by time at finalize().
+  std::vector<std::int64_t> liveChanges;
   RunStats stats;
   CounterSlots ctrs;  // fixed-name counters, emitted into stats at finalize()
   std::vector<bool> resultSet;
-  int errorCount = 0;
+  // stats.error reports the earliest runtime error in (simulated time, PE)
+  // order, not the first the host happened to run.
+  SimTime errorAt{};
+  std::uint16_t errorPe = 0;
   // Reliable-delivery sender half (lossy mode): the protocol core tracks
   // attempts/backoff/give-up; `retx` keeps the payload copies by id.
   FaultPlan plan;
@@ -480,8 +522,9 @@ struct Machine::Impl {
   // exactly), but instead of one queue event per arm, each link keeps its
   // own little key-ordered min-heap and the global queue carries at most
   // one live LinkTimer wakeup per link, keyed by the link's earliest
-  // reserved key. Entries cancelled by an ack are pre-counted there
-  // (the heap engine pops them later as stale events) and lazily discarded.
+  // reserved key. Entries cancelled by an ack stay queued and pop at their
+  // reserved key as no-ops, counted there just as the heap engine counts
+  // its stale NetTimeout events.
   struct TimerEnt {
     EvKey key;
     std::uint64_t msgId = 0;
@@ -516,7 +559,9 @@ struct Machine::Impl {
         store(c.numPEs, c.timing.pageElems, c.peWeights),
         pes(static_cast<std::size_t>(c.numPEs)),
         calendar(c.eventEngine == EventEngine::Calendar),
-        pushCtr(static_cast<std::size_t>(c.numPEs), 0) {
+        pushCtr(static_cast<std::size_t>(c.numPEs), 0),
+        crossPeNs(c.faults.enabled() ? 0 : c.timing.crossPeLatency().ns),
+        lookahead(calendar && crossPeNs > 0) {
     PODS_CHECK(c.numPEs >= 1 && c.numPEs <= 4096);
     PODS_CHECK_MSG(c.timing.pageElems >= 1 && c.timing.pageElems <= 256,
                    "pageElems must be in [1, 256]");
@@ -536,6 +581,7 @@ struct Machine::Impl {
     for (PeState& P : pes)
       P.rx = proto::Delivery(c.faults.retry, /*faultsEnabled=*/true);
     if (killMode()) recLogs.resize(pes.size());
+    if (lookahead) pendingAt.resize(pes.size());
   }
 
   /// Memoized canonical per-link counter name.
@@ -557,6 +603,9 @@ struct Machine::Impl {
   }
 
   EvKey push(Ev ev) {
+    PODS_CHECK_MSG(ev.pe == actorPe || ev.t.ns >= actorT.ns + crossPeNs,
+                   "an event reached another PE sooner than the model's "
+                   "cross-PE latency");
     const EvKey key = nextKey(ev.t);
     enqueue(std::move(ev), key);
     return key;
@@ -586,6 +635,13 @@ struct Machine::Impl {
       // after triage nothing new needs indexing.
       const bool indexed = peLocal && killMode() && !killTriaged_ &&
                            static_cast<int>(ev.pe) == cfg.faults.killPe;
+      if (lookahead) {
+        pendingAt[ev.pe].push(ev.t.ns);
+        if (inSlice)
+          sliceLimit = std::min(sliceLimit, ev.pe == actorPe
+                                                ? ev.t.ns
+                                                : ev.t.ns + crossPeNs - 1);
+      }
       cq.push(key, std::move(ev), indexed);
     } else {
       q.push(std::move(ev));
@@ -630,8 +686,30 @@ struct Machine::Impl {
   }
 
   void runtimeError(const std::string& msg) {
-    if (errorCount++ == 0) stats.error = msg;
+    if (stats.error.empty() ||
+        std::pair(actorT, actorPe) < std::pair(errorAt, errorPe)) {
+      stats.error = msg;
+      errorAt = actorT;
+      errorPe = actorPe;
+    }
+    ++pes[actorPe].errors;
     ctrs.add(Ctr::RuntimeErrors);
+  }
+
+  void liveChange(bool up) { liveChanges.push_back(actorT.ns * 2 + (up ? 1 : 0)); }
+
+  /// Peak of the live-SP count over simulated time; every change logged at
+  /// one instant applies together.
+  std::int64_t peakLive() {
+    std::sort(liveChanges.begin(), liveChanges.end());
+    std::int64_t live = 0, peak = 0;
+    for (std::size_t i = 0; i < liveChanges.size();) {
+      const std::int64_t t = liveChanges[i] >> 1;
+      for (; i < liveChanges.size() && (liveChanges[i] >> 1) == t; ++i)
+        live += (liveChanges[i] & 1) ? 1 : -1;
+      peak = std::max(peak, live);
+    }
+    return peak;
   }
 
   /// Serial-resource scheduling: returns completion time, accrues busy time.
@@ -668,6 +746,12 @@ struct Machine::Impl {
       runtimeError("cannot open trace file " + cfg.tracePath);
       return;
     }
+    // Host order differs between engines; the timeline does not.
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const TraceEv& a, const TraceEv& b) {
+                       return std::tie(a.pe, a.unit, a.start.ns) <
+                              std::tie(b.pe, b.unit, b.start.ns);
+                     });
     std::fputs("{\"traceEvents\":[\n", f);
     bool first = true;
     for (const TraceEv& ev : trace) {
@@ -806,30 +890,29 @@ struct Machine::Impl {
     cq.push(k, std::move(ev), /*indexed=*/false);
   }
 
-  /// A link's wakeup fired: pop the heap top it was scheduled for (unless a
-  /// duplicate wakeup already consumed it), run it if it is still armed —
-  /// an ack may have cancelled it, making this pop the no-op the heap
-  /// engine's stale-timer pop would have been — and re-schedule the next
-  /// head.
+  /// True when a popped LinkTimer wakeup still carries its link's earliest
+  /// entry key: it then stands for the heap engine's NetTimeout event with
+  /// that key. A wakeup superseded by an earlier head (or a duplicate whose
+  /// entry already fired) is no event at all.
+  bool linkTimerDue(const Ev& ev) {
+    auto lit = linkTimers.find(static_cast<std::uint32_t>(ev.msgId));
+    return lit != linkTimers.end() && !lit->second.heap.empty() &&
+           lit->second.heap.top().key == keyOf(ev);
+  }
+
+  /// A due wakeup: pop the link's earliest entry, run it if it is still
+  /// armed — an ack may have cancelled it, making this pop the no-op the
+  /// heap engine's stale-timer pop is — and re-schedule the next head.
   void linkTimerFire(Ev& ev) {
     const std::uint32_t link = static_cast<std::uint32_t>(ev.msgId);
-    auto lit = linkTimers.find(link);
-    if (lit == linkTimers.end()) return;
-    LinkTimerState& L = lit->second;
-    const EvKey k = keyOf(ev);
-    if (L.scheduled == k) L.scheduled = EvKey{-1, 0, 0};
-    if (!L.heap.empty() && L.heap.top().key == k) {
-      const TimerEnt ent = L.heap.top();
-      L.heap.pop();
-      auto a = armedTimers.find(ent.msgId);
-      if (a != armedTimers.end() && a->second.second == ent.key) {
-        armedTimers.erase(a);
-        // This is the pop the binary heap engine counts for the NetTimeout
-        // event carrying this reserved key. (Cancelled entries
-        // were pre-counted when their ack arrived.)
-        ++eventsProcessed;
-        fireTimeout(ent.msgId, ent.attempt, ev.t);
-      }
+    LinkTimerState& L = linkTimers[link];
+    if (L.scheduled == keyOf(ev)) L.scheduled = EvKey{-1, 0, 0};
+    const TimerEnt ent = L.heap.top();
+    L.heap.pop();
+    auto a = armedTimers.find(ent.msgId);
+    if (a != armedTimers.end() && a->second.second == ent.key) {
+      armedTimers.erase(a);
+      fireTimeout(ent.msgId, ent.attempt, ev.t);
     }
     // fireTimeout may have re-armed (rehash risk on linkTimers): re-find.
     scheduleLinkWakeup(link, linkTimers[link]);
@@ -1089,11 +1172,32 @@ struct Machine::Impl {
   }
 
   /// A kick pops: clear the PE's pending-kick mark if this is the kick it
-  /// covers, and run the EU.
+  /// covers, and run the EU (inside a lookahead window when enabled).
   void euKick(std::uint16_t pe, SimTime t) {
     PeState& P = pes[pe];
     if (P.kickScheduled && t >= P.kickAt) P.kickScheduled = false;
+    if (lookahead) openWindow(pe);
     euRun(pe, t);
+    inSlice = false;
+  }
+
+  /// Lookahead window of an EU slice on `pe`: its instructions may start up
+  /// to the PE's own earliest pending event (which an instruction at the
+  /// same time precedes) and strictly before the global head + L (no other
+  /// PE can act on this one sooner). push() tightens it as the slice runs.
+  void openWindow(std::uint16_t pe) {
+    constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+    std::int64_t head = kNever;
+    if (const EvKey* k = cq.peekKey()) head = k->t;
+    if (!kicks.empty()) head = std::min(head, kicks.top().key.t);
+    sliceLimit = head == kNever ? kNever : head + crossPeNs - 1;
+    if (!pendingAt[pe].empty()) sliceLimit = std::min(sliceLimit, pendingAt[pe].top());
+    inSlice = true;
+  }
+
+  /// The EU's per-instruction yield test at local time `t`.
+  bool mustYield(SimTime t) {
+    return lookahead ? t.ns > sliceLimit : headEarlierThan(t);
   }
 
   void wakeIfBlockedOn(std::uint16_t pe, std::uint32_t frameIdx,
@@ -1124,7 +1228,7 @@ struct Machine::Impl {
     P.readyQ.push_back(idx);
     ctrs.add(Ctr::SpInstantiated);
     ++stats.spProfiles[spCode].instances;
-    peakLiveSps = std::max(peakLiveSps, ++liveSps);
+    liveChange(/*up=*/true);
     pushKick(pe, t);
     return idx;
   }
@@ -1423,7 +1527,7 @@ struct Machine::Impl {
             break;
           }
           if (info->owner(offset) == pe &&
-              !info->elems[static_cast<std::size_t>(offset)].empty()) {
+              info->atOwner[static_cast<std::size_t>(offset)]) {
             // Local present element: the fast path the 2.7 us covers.
             f.slots[in.dst] = info->elems[static_cast<std::size_t>(offset)];
             ctrs.add(Ctr::ArrayReadsLocalHit);
@@ -1592,7 +1696,7 @@ struct Machine::Impl {
         f.slots.shrink_to_fit();
         unitSched(pe, Unit::MM, t, tm.frameListOp);  // frame release
         ctrs.add(Ctr::SpCompleted);
-        --liveSps;
+        liveChange(/*up=*/false);
         return StepResult::Ended;
       }
       default:
@@ -1602,24 +1706,23 @@ struct Machine::Impl {
     return StepResult::Continue;
   }
 
+  /// Closes the PE's open EU trace slice at `end`.
+  void endSlice(std::uint16_t pe, SimTime end) {
+    PeState& P = pes[pe];
+    if (P.sliceName && end > P.sliceStart)
+      addTrace(pe, Unit::EU, P.sliceName, P.sliceStart, end - P.sliceStart);
+    P.sliceName = nullptr;
+  }
+
   /// The EU scheduler: runs ready SPs, blocking and switching per the paper.
   void euRun(std::uint16_t pe, SimTime tStart) {
     PeState& P = pes[pe];
     SimTime t = std::max(tStart, P.euFree);
     std::uint64_t steps = 0;
-    // Trace bookkeeping: one slice per contiguous run of one SP.
-    SimTime sliceStart{};
-    const std::string* sliceName = nullptr;
-    auto endSlice = [&](SimTime end) {
-      if (tracing && sliceName && end > sliceStart) {
-        addTrace(pe, Unit::EU, sliceName, sliceStart, end - sliceStart);
-      }
-      sliceName = nullptr;
-    };
     for (;;) {
       if (++steps > 50'000'000ULL) {
         runtimeError("livelock: one EU slice exceeded 50M instructions");
-        endSlice(t);
+        endSlice(pe, t);
         P.euFree = t;
         return;
       }
@@ -1640,19 +1743,21 @@ struct Machine::Impl {
           ctrs.add(Ctr::EuContextSwitches);
           P.lastFrame = idx;
         }
-        sliceStart = t;
-        sliceName = &prog.sp(f.spCode).name;
+        // A frame resuming after a yield keeps its open slice.
+        if (tracing && !P.sliceName) {
+          P.sliceStart = t;
+          P.sliceName = &prog.sp(f.spCode).name;
+        }
       }
-      // Yield to the global queue whenever our local time passes its head,
-      // so cross-PE interactions are exact. The calendar engine answers
-      // this from its cached minimum in O(1).
-      if (headEarlierThan(t)) {
+      // Yield to the global queue when the next instruction could run out of
+      // global time order. The exact rule reads the calendar's cached head in
+      // O(1); the lookahead rule compares against the slice's window.
+      if (mustYield(t)) {
         Frame& f = P.frames[static_cast<std::size_t>(P.current)];
         f.state = FrameState::Ready;
         P.readyQ.push_front(static_cast<std::uint32_t>(P.current));
         P.current = -1;
         P.euFree = t;
-        endSlice(t);
         pushKick(pe, t, /*yield=*/true);
         return;
       }
@@ -1662,17 +1767,17 @@ struct Machine::Impl {
       if (r == StepResult::Blocked) {
         P.current = -1;
         ctrs.add(Ctr::EuBlocks);
-        endSlice(t);
+        endSlice(pe, t);
         continue;  // pick the next ready SP (context switch charged at pick)
       }
       if (r == StepResult::Ended) {
         P.current = -1;
-        endSlice(t);
+        endSlice(pe, t);
         continue;
       }
-      if (errorCount > 64) {
+      if (P.errors > 64) {
         // Runaway error loop: stop making progress on this PE.
-        endSlice(t);
+        endSlice(pe, t);
         P.euFree = t;
         return;
       }
@@ -1838,10 +1943,10 @@ struct Machine::Impl {
     }
     const int owner = info->owner(offset);
     if (owner == pe) {
-      const Value& v = info->elems[static_cast<std::size_t>(offset)];
-      if (!v.empty()) {
+      if (info->atOwner[static_cast<std::size_t>(offset)]) {
         SimTime done = unitSched(pe, Unit::AM, t, tm.memRead);
-        fillSlotLater(pe, done + tm.unitSignal, task.cont, v);
+        fillSlotLater(pe, done + tm.unitSignal, task.cont,
+                      info->elems[static_cast<std::size_t>(offset)]);
       } else {
         unitSched(pe, Unit::AM, t, tm.enqueueRead);
         P.deferred[task.arr][offset].localWaiters.push_back(task.cont);
@@ -1898,7 +2003,7 @@ struct Machine::Impl {
     for (int i = 0; i < tm.pageElems; ++i) {
       const std::int64_t off = base + i;
       if (off >= info.shape.numElems()) break;
-      if (!info.elems[static_cast<std::size_t>(off)].empty()) pg.mask.set(i);
+      if (info.atOwner[static_cast<std::size_t>(off)]) pg.mask.set(i);
     }
     ctrs.add(Ctr::ArrayPagesSent);
     amToRemote(pe, toPe, done, pg, /*pageSized=*/true);
@@ -1907,8 +2012,7 @@ struct Machine::Impl {
   void amRemoteReadReq(std::uint16_t pe, SimTime t, AmTask& task) {
     PeState& P = pes[pe];
     const ArrayInfo* info = store.find(task.arr);
-    const Value& v = info->elems[static_cast<std::size_t>(task.offset)];
-    if (!v.empty()) {
+    if (info->atOwner[static_cast<std::size_t>(task.offset)]) {
       sendPage(pe, t, *info, info->layout.pageOfOffset(task.offset),
                task.fromPe);
       return;
@@ -1977,8 +2081,9 @@ struct Machine::Impl {
       // Remote write: commit the value here (single assignment makes it
       // final, so the writer may also cache it — its own read-after-write,
       // e.g. a recurrence over a distributed array, then stays local), and
-      // forward a token-sized notification to the owner, which wakes any
-      // readers queued on the element there.
+      // forward a token-sized notification to the owner. Only its arrival
+      // makes the element present there (atOwner) and wakes any readers
+      // queued on it.
       if (!store.write(task.arr, offset, task.v)) {
         unitSched(pe, Unit::AM, t, tm.memWrite);
         runtimeError("single-assignment violation: array #" +
@@ -2004,6 +2109,7 @@ struct Machine::Impl {
                    std::to_string(offset) + " written twice");
       return;
     }
+    info->atOwner[static_cast<std::size_t>(offset)] = true;
     // "Array Write: memory_write_time + number_queued_reads * message_time".
     auto dit = P.deferred.find(task.arr);
     Deferred* d = nullptr;
@@ -2141,7 +2247,8 @@ struct Machine::Impl {
       killTriaged_ = true;
     }
     for (const Frame& f : P.frames)
-      if (f.state != FrameState::Dead) --liveSps;
+      if (f.state != FrameState::Dead) liveChange(/*up=*/false);
+    endSlice(pe, P.euFree);
     P.frames.clear();
     P.match.clear();
     P.readyQ.clear();
@@ -2207,7 +2314,7 @@ struct Machine::Impl {
           P.dedup.retire(e.ctx);
           L.mints.erase(e.ctx);
           P.match.erase(it);
-          --liveSps;
+          liveChange(/*up=*/false);
           break;
         }
       }
@@ -2300,7 +2407,7 @@ struct Machine::Impl {
     const std::uint32_t idx = static_cast<std::uint32_t>(P.frames.size());
     P.frames.push_back(std::move(f));
     P.match[ctx] = idx;
-    ++liveSps;
+    liveChange(/*up=*/true);
     return idx;
   }
 
@@ -2350,7 +2457,7 @@ struct Machine::Impl {
       P0.readyQ.push_back(0);
       ctrs.add(Ctr::SpInstantiated);
       ++stats.spProfiles[prog.mainSp].instances;
-      peakLiveSps = std::max(peakLiveSps, ++liveSps);
+      liveChange(/*up=*/true);
       pushKick(0, kTimeZero);
     }
     if (killMode()) {
@@ -2401,12 +2508,19 @@ struct Machine::Impl {
       }
       bool ghost = false;
       Ev ev = popEvent(&ghost);
-      // LinkTimer wakeups are calendar-engine plumbing, not simulation
-      // events: the pop they stand in for is counted where the underlying
-      // timer entry is consumed (fire or ack-cancel).
-      const bool isWakeup = ev.kind == EvKind::LinkTimer;
-      if (!isWakeup) ++eventsProcessed;
-      if (stopRequested(ev.kind, ev.pe, ev.t)) return finalize();
+      if (lookahead) {
+        // Events pop in key order, so this one is its PE's earliest.
+        auto& own = pendingAt[ev.pe];
+        PODS_CHECK(!own.empty() && own.top() == ev.t.ns);
+        own.pop();
+      }
+      // LinkTimer wakeups are calendar-engine plumbing: a due one is the
+      // heap engine's NetTimeout event, counted and reported as such.
+      if (ev.kind == EvKind::LinkTimer && !linkTimerDue(ev)) continue;
+      ++eventsProcessed;
+      if (stopRequested(ev.kind == EvKind::LinkTimer ? EvKind::NetTimeout : ev.kind,
+                        ev.pe, ev.t))
+        return finalize();
       now = ev.t;
       actorPe = ev.pe;
       actorT = ev.t;
@@ -2450,16 +2564,9 @@ struct Machine::Impl {
         case EvKind::NetAckArrive: {
           sender.onAck(ev.msgId);
           retx.erase(ev.msgId);
-          if (calendar) {
-            // Cancel the message's armed timer entry. Its reserved-key slot
-            // still pops (as a no-op) at its deadline; count that pop here,
-            // where the heap engine's stale NetTimeout becomes inevitable.
-            auto a = armedTimers.find(ev.msgId);
-            if (a != armedTimers.end()) {
-              armedTimers.erase(a);
-              ++eventsProcessed;
-            }
-          }
+          // Calendar engine: cancel the message's armed timer entry; it
+          // still pops, as a no-op, at its reserved key.
+          if (calendar) armedTimers.erase(ev.msgId);
           useful = false;
           break;
         }
@@ -2552,7 +2659,7 @@ struct Machine::Impl {
       stats.busy[pe] = pes[pe].unitBusy;
     }
     stats.counters.add("events", static_cast<std::int64_t>(eventsProcessed));
-    stats.counters.add("sp.peakLive", peakLiveSps);
+    stats.counters.add("sp.peakLive", peakLive());
     // Counter parity with native.instructions, summed here so the hot path
     // pays nothing beyond the per-SP profile it already keeps.
     std::int64_t instructions = 0;
@@ -2596,7 +2703,12 @@ struct Machine::Impl {
       stats.counters.add("recovery.dedup.liveKeys", liveKeys);
       stats.counters.add("recovery.mints.live", liveMints);
     }
-    if (tracing) writeTrace();
+    if (tracing) {
+      // A run cut short leaves slices open; close them where their EU stood.
+      for (std::size_t pe = 0; pe < pes.size(); ++pe)
+        endSlice(static_cast<std::uint16_t>(pe), pes[pe].euFree);
+      writeTrace();
+    }
     ctrs.emitTo(stats.counters);  // after writeTrace, which may count an error
     // Diagnose incomplete executions.
     if (stats.error.empty()) {

@@ -5,6 +5,8 @@
 // are plain data so the ablation benches can override them.
 #pragma once
 
+#include <algorithm>
+
 #include "runtime/isa.hpp"
 #include "support/simtime.hpp"
 
@@ -76,6 +78,15 @@ struct Timing {
   SimTime pageMessage() const {
     return largeMessageBase + perByte * (static_cast<std::int64_t>(pageElems) *
                                          elemBytes);
+  }
+
+  /// Least simulated time from an action on one PE to any event it causes on
+  /// another: the signal to the Routing Unit, the cheaper of the two message
+  /// services, and the network traversal (23 us with the defaults). The
+  /// simulator's conservative lookahead rests on it, and every cross-PE push
+  /// is checked against it.
+  SimTime crossPeLatency() const {
+    return unitSignal + std::min(tokenRoute(), pageMessage()) + networkHop;
   }
 
   /// Execution Unit cost of one instruction. `realOp` selects the floating
