@@ -1,8 +1,9 @@
 #include "frontend/lexer.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
-#include <unordered_map>
+#include <limits>
+#include <string>
 
 namespace pods::fe {
 
@@ -62,21 +63,48 @@ const char* tokName(Tok t) {
 
 namespace {
 
-const std::unordered_map<std::string_view, Tok>& keywords() {
-  static const std::unordered_map<std::string_view, Tok> kw = {
-      {"def", Tok::KwDef},       {"inline", Tok::KwInline},
-      {"let", Tok::KwLet},       {"next", Tok::KwNext},
-      {"return", Tok::KwReturn}, {"for", Tok::KwFor},
-      {"to", Tok::KwTo},         {"downto", Tok::KwDownto},
-      {"carry", Tok::KwCarry},   {"yield", Tok::KwYield},
-      {"loop", Tok::KwLoop},     {"while", Tok::KwWhile},
-      {"if", Tok::KwIf},         {"then", Tok::KwThen},
-      {"else", Tok::KwElse},     {"int", Tok::KwInt},
-      {"real", Tok::KwReal},     {"array", Tok::KwArray},
-      {"matrix", Tok::KwMatrix},
+/// The keyword `s` spells, or Tok::Ident. Dispatches on the length, then
+/// compares against the few keywords of that length: no hashing.
+Tok keywordOf(std::string_view s) {
+  struct Kw {
+    std::string_view text;
+    Tok kind;
   };
-  return kw;
+  static constexpr Kw k2[] = {{"to", Tok::KwTo}, {"if", Tok::KwIf}};
+  static constexpr Kw k3[] = {
+      {"def", Tok::KwDef}, {"let", Tok::KwLet}, {"for", Tok::KwFor},
+      {"int", Tok::KwInt}};
+  static constexpr Kw k4[] = {
+      {"next", Tok::KwNext}, {"loop", Tok::KwLoop}, {"then", Tok::KwThen},
+      {"else", Tok::KwElse}, {"real", Tok::KwReal}};
+  static constexpr Kw k5[] = {
+      {"carry", Tok::KwCarry}, {"yield", Tok::KwYield},
+      {"while", Tok::KwWhile}, {"array", Tok::KwArray}};
+  static constexpr Kw k6[] = {
+      {"inline", Tok::KwInline}, {"return", Tok::KwReturn},
+      {"downto", Tok::KwDownto}, {"matrix", Tok::KwMatrix}};
+  auto find = [&](const auto& table) {
+    for (const Kw& k : table)
+      if (k.text == s) return k.kind;
+    return Tok::Ident;
+  };
+  switch (s.size()) {
+    case 2: return find(k2);
+    case 3: return find(k3);
+    case 4: return find(k4);
+    case 5: return find(k5);
+    case 6: return find(k6);
+    default: return Tok::Ident;
+  }
 }
+
+// ASCII classes; unlike <cctype> they do not consult the locale.
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+bool isIdentStart(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
+         c == '$';
+}
+bool isIdentChar(char c) { return isIdentStart(c) || isDigit(c); }
 
 class Lexer {
  public:
@@ -84,6 +112,7 @@ class Lexer {
 
   std::vector<Token> run() {
     std::vector<Token> out;
+    out.reserve(src_.size() / 3 + 1);  // IdLite sources average > 3 bytes a token
     for (;;) {
       Token t = next();
       bool eof = t.kind == Tok::Eof;
@@ -149,17 +178,14 @@ class Lexer {
     if (atEnd()) return make(Tok::Eof, loc);
     char c = advance();
 
-    if (std::isdigit(static_cast<unsigned char>(c))) return number(c, loc);
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '$') {
-      std::string text(1, c);
-      while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_' ||
-             peek() == '$') {
-        text += advance();
-      }
-      auto it = keywords().find(text);
-      if (it != keywords().end()) return make(it->second, loc);
-      Token t = make(Tok::Ident, loc);
-      t.text = std::move(text);
+    if (isDigit(c)) return number(loc);
+    if (isIdentStart(c)) {
+      const std::size_t start = pos_ - 1;
+      while (isIdentChar(peek())) advance();
+      const std::string_view text = src_.substr(start, pos_ - start);
+      const Tok kind = keywordOf(text);
+      Token t = make(kind, loc);
+      if (kind == Tok::Ident) t.text = text;
       return t;
     }
 
@@ -205,30 +231,37 @@ class Lexer {
     return next();
   }
 
-  Token number(char first, SrcLoc loc) {
-    std::string text(1, first);
+  /// A numeric literal whose first digit was just consumed.
+  Token number(SrcLoc loc) {
+    const std::size_t start = pos_ - 1;
     bool isReal = false;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) text += advance();
-    if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1)))) {
+    while (isDigit(peek())) advance();
+    if (peek() == '.' && isDigit(peek(1))) {
       isReal = true;
-      text += advance();
-      while (std::isdigit(static_cast<unsigned char>(peek()))) text += advance();
+      advance();
+      while (isDigit(peek())) advance();
     }
     if (peek() == 'e' || peek() == 'E') {
       char sign = peek(1);
       int digitAt = (sign == '+' || sign == '-') ? 2 : 1;
-      if (std::isdigit(static_cast<unsigned char>(peek(digitAt)))) {
+      if (isDigit(peek(digitAt))) {
         isReal = true;
-        text += advance();  // e
-        if (sign == '+' || sign == '-') text += advance();
-        while (std::isdigit(static_cast<unsigned char>(peek()))) text += advance();
+        advance();  // e
+        if (sign == '+' || sign == '-') advance();
+        while (isDigit(peek())) advance();
       }
     }
+    const char* first = src_.data() + start;
+    const char* last = src_.data() + pos_;
     Token t = make(isReal ? Tok::RealLit : Tok::IntLit, loc);
     if (isReal) {
-      t.fval = std::strtod(text.c_str(), nullptr);
-    } else {
-      t.ival = std::strtoll(text.c_str(), nullptr, 10);
+      // Correctly rounded, like strtod. Out of range, from_chars leaves the
+      // value alone where strtod gives inf or 0: let strtod decide.
+      if (std::from_chars(first, last, t.fval).ec == std::errc::result_out_of_range)
+        t.fval = std::strtod(std::string(first, last).c_str(), nullptr);
+    } else if (std::from_chars(first, last, t.ival).ec ==
+               std::errc::result_out_of_range) {
+      t.ival = std::numeric_limits<std::int64_t>::max();  // as strtoll saturates
     }
     return t;
   }

@@ -7,7 +7,8 @@
 // no aliasing, flow-only dependences.
 #pragma once
 
-#include <string>
+#include <cstdint>
+#include <string_view>
 
 #include "support/diag.hpp"
 
@@ -34,12 +35,15 @@ enum class Tok {
 
 const char* tokName(Tok t);
 
+/// 32 bytes: the payload member in use follows from `kind`.
 struct Token {
   Tok kind = Tok::Eof;
   SrcLoc loc;
-  std::string text;     // identifier spelling
-  std::int64_t ival = 0;
-  double fval = 0.0;
+  union {
+    std::string_view text{};  // Ident: its spelling, a view into the source
+    std::int64_t ival;        // IntLit
+    double fval;              // RealLit
+  };
 };
 
 }  // namespace pods::fe

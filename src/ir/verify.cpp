@@ -1,120 +1,10 @@
-// Def/use computation and the structural verifier for the dataflow graph.
-#include <algorithm>
-#include <string>
-#include <unordered_set>
-
-#include "ir/defuse.hpp"
+// The structural verifier for the dataflow graph.
 #include "ir/verify.hpp"
-#include "support/check.hpp"
+
+#include <string>
+#include <vector>
 
 namespace pods::ir {
-
-namespace {
-
-void listUses(const std::vector<Item>& items, std::vector<ValId>& out);
-void listDefs(const std::vector<Item>& items, std::vector<ValId>& out);
-
-void nodeUses(const Node& n, std::vector<ValId>& out) {
-  for (std::uint8_t i = 0; i < n.nin; ++i)
-    if (n.in[i] != kNoVal) out.push_back(n.in[i]);
-}
-
-}  // namespace
-
-void itemUses(const Item& item, std::vector<ValId>& out) {
-  switch (item.kind) {
-    case ItemKind::Node:
-      nodeUses(item.node, out);
-      break;
-    case ItemKind::If: {
-      out.push_back(item.ifi->cond);
-      // Uses of the arms minus what the arms define internally.
-      std::vector<ValId> uses, defs;
-      listUses(item.ifi->thenItems, uses);
-      listUses(item.ifi->elseItems, uses);
-      listDefs(item.ifi->thenItems, defs);
-      listDefs(item.ifi->elseItems, defs);
-      std::unordered_set<ValId> defSet(defs.begin(), defs.end());
-      for (ValId u : uses)
-        if (!defSet.count(u)) out.push_back(u);
-      break;
-    }
-    case ItemKind::Call:
-      for (ValId a : item.call->args) out.push_back(a);
-      break;
-    case ItemKind::Loop: {
-      const Block& b = *item.loop;
-      if (b.initVal != kNoVal) out.push_back(b.initVal);
-      if (b.limitVal != kNoVal) out.push_back(b.limitVal);
-      for (const Carried& c : b.carried) out.push_back(c.init);
-      for (ValId v : blockExternalUses(b)) out.push_back(v);
-      break;
-    }
-    case ItemKind::Next:
-      out.push_back(item.nextVal);
-      break;
-  }
-}
-
-void itemDefs(const Item& item, std::vector<ValId>& out) {
-  switch (item.kind) {
-    case ItemKind::Node:
-      if (item.node.dst != kNoVal) out.push_back(item.node.dst);
-      break;
-    case ItemKind::If:
-      listDefs(item.ifi->thenItems, out);
-      listDefs(item.ifi->elseItems, out);
-      break;
-    case ItemKind::Call:
-      if (item.call->dst != kNoVal) out.push_back(item.call->dst);
-      break;
-    case ItemKind::Loop:
-      if (item.loop->yieldVal != kNoVal) out.push_back(item.loop->yieldVal);
-      break;
-    case ItemKind::Next:
-      break;  // writes the block-level shadow, not a new value
-  }
-}
-
-namespace {
-
-void listUses(const std::vector<Item>& items, std::vector<ValId>& out) {
-  for (const Item& it : items) itemUses(it, out);
-}
-
-void listDefs(const std::vector<Item>& items, std::vector<ValId>& out) {
-  for (const Item& it : items) itemDefs(it, out);
-}
-
-}  // namespace
-
-void blockDefs(const Block& b, std::vector<ValId>& out) {
-  if (b.indexVal != kNoVal) out.push_back(b.indexVal);
-  for (const Carried& c : b.carried) {
-    out.push_back(c.cur);
-    out.push_back(c.shadow);
-  }
-  listDefs(b.condItems, out);
-  listDefs(b.body, out);
-  listDefs(b.finalItems, out);
-}
-
-std::vector<ValId> blockExternalUses(const Block& b) {
-  std::vector<ValId> uses, defs;
-  listUses(b.condItems, uses);
-  listUses(b.body, uses);
-  listUses(b.finalItems, uses);
-  if (b.condVal != kNoVal) uses.push_back(b.condVal);
-  if (b.yieldVal != kNoVal) uses.push_back(b.yieldVal);
-  blockDefs(b, defs);
-  std::unordered_set<ValId> defSet(defs.begin(), defs.end());
-  std::vector<ValId> out;
-  std::unordered_set<ValId> seen;
-  for (ValId u : uses) {
-    if (!defSet.count(u) && seen.insert(u).second) out.push_back(u);
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Verifier
@@ -124,10 +14,12 @@ namespace {
 
 class Verifier {
  public:
-  Verifier(const Function& fn, std::string& err) : fn_(fn), err_(err) {}
+  Verifier(const Function& fn, std::string& err)
+      : fn_(fn), err_(err), defined_(fn.numVals, 0), inElse_(fn.numVals, 0) {}
 
   bool run() {
-    for (ValId p : fn_.params) define(p);
+    for (ValId p : fn_.params)
+      if (!define(p, "parameter")) return false;
     if (!checkBlock(fn_.body)) return false;
     for (ValId r : fn_.retVals) {
       if (!isDefined(r)) return fail("return value %" + std::to_string(r) +
@@ -142,8 +34,28 @@ class Verifier {
     return false;
   }
 
-  void define(ValId v) { defined_.insert(v); }
-  bool isDefined(ValId v) const { return defined_.count(v) != 0; }
+  // Every definition must be in range: later stages index flat per-value
+  // tables by ValId. A value defined for the first time joins the trail, so
+  // an If can take back what one arm defined.
+  bool define(ValId v, const char* what) {
+    if (v >= fn_.numVals)
+      return fail(std::string(what) + " defines %" + std::to_string(v) +
+                  " out of range");
+    if (!defined_[v]) {
+      defined_[v] = 1;
+      trail_.push_back(v);
+    }
+    return true;
+  }
+  bool isDefined(ValId v) const { return v < fn_.numVals && defined_[v]; }
+
+  /// Forgets every definition made since the trail was `mark` long and
+  /// returns them in `out`.
+  void undefineSince(std::size_t mark, std::vector<ValId>& out) {
+    out.assign(trail_.begin() + static_cast<std::ptrdiff_t>(mark), trail_.end());
+    for (ValId v : out) defined_[v] = 0;
+    trail_.resize(mark);
+  }
 
   bool checkVal(ValId v, const char* what) {
     if (v == kNoVal) return fail(std::string("missing ") + what);
@@ -160,12 +72,12 @@ class Verifier {
     if (b.kind == BlockKind::ForLoop) {
       if (!checkVal(b.initVal, "loop init") || !checkVal(b.limitVal, "loop limit"))
         return false;
-      define(b.indexVal);
+      if (!define(b.indexVal, "loop index")) return false;
     }
     for (const Carried& c : b.carried) {
       if (!checkVal(c.init, "carry init")) return false;
-      define(c.cur);
-      define(c.shadow);
+      if (!define(c.cur, "carried value") || !define(c.shadow, "carried shadow"))
+        return false;
     }
     if (b.kind == BlockKind::WhileLoop) {
       if (!checkItems(b.condItems)) return false;
@@ -190,7 +102,7 @@ class Verifier {
             if (n.dst != kNoVal) return fail("awrite must not define a value");
           } else {
             if (n.dst == kNoVal) return fail("node missing destination");
-            define(n.dst);
+            if (!define(n.dst, "node")) return false;
           }
           break;
         }
@@ -199,16 +111,16 @@ class Verifier {
           // Arms check independently; merge values (defined in both arms)
           // become visible afterwards. Values defined in only one arm are
           // scoped to that arm by sema; we expose the intersection.
-          std::unordered_set<ValId> before = defined_;
+          const std::size_t mark = trail_.size();
+          std::vector<ValId> inThen, inElse;
           if (!checkItems(it.ifi->thenItems)) return false;
-          std::unordered_set<ValId> afterThen = std::move(defined_);
-          defined_ = before;
+          undefineSince(mark, inThen);
           if (!checkItems(it.ifi->elseItems)) return false;
-          std::unordered_set<ValId> afterElse = std::move(defined_);
-          defined_ = std::move(before);
-          for (ValId v : afterThen) {
-            if (afterElse.count(v)) defined_.insert(v);
-          }
+          undefineSince(mark, inElse);
+          for (ValId v : inElse) inElse_[v] = 1;
+          for (ValId v : inThen)
+            if (inElse_[v]) define(v, "merge");
+          for (ValId v : inElse) inElse_[v] = 0;
           break;
         }
         case ItemKind::Call: {
@@ -217,12 +129,15 @@ class Verifier {
           for (ValId a : it.call->args) {
             if (!checkVal(a, "call argument")) return false;
           }
-          if (it.call->dst != kNoVal) define(it.call->dst);
+          if (it.call->dst != kNoVal && !define(it.call->dst, "call"))
+            return false;
           break;
         }
         case ItemKind::Loop: {
           if (!checkBlock(*it.loop)) return false;
-          if (it.loop->yieldVal != kNoVal) define(it.loop->yieldVal);
+          if (it.loop->yieldVal != kNoVal &&
+              !define(it.loop->yieldVal, "loop yield"))
+            return false;
           break;
         }
         case ItemKind::Next: {
@@ -236,7 +151,9 @@ class Verifier {
 
   const Function& fn_;
   std::string& err_;
-  std::unordered_set<ValId> defined_;
+  std::vector<std::uint8_t> defined_;  // by ValId
+  std::vector<ValId> trail_;           // first definitions, in order
+  std::vector<std::uint8_t> inElse_;   // scratch for an If's merge values
 
  public:
   std::size_t fnCount_ = 0;

@@ -1,6 +1,6 @@
 #include "partition/lcd.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "ir/defuse.hpp"
 
@@ -26,18 +26,17 @@ namespace {
 /// current summaries for callees. Returns true if anything changed.
 bool scanFunction(const ir::Function& fn, const std::vector<FnSummary>& all,
                   FnSummary& sum) {
-  // Map from ValId to parameter position (following Mov chains is overkill
-  // here; parameters used as arrays are referenced directly).
-  std::unordered_map<ValId, std::size_t> paramOf;
-  for (std::size_t i = 0; i < fn.params.size(); ++i) paramOf[fn.params[i]] = i;
-
   bool changed = false;
+  // Parameter position of an array value (following Mov chains is overkill
+  // here; parameters used as arrays are referenced directly). Functions
+  // have a handful of parameters: a scan beats any table.
   auto mark = [&](ValId arr, bool write) {
-    auto it = paramOf.find(arr);
-    if (it == paramOf.end()) return;
+    auto it = std::find(fn.params.begin(), fn.params.end(), arr);
+    if (it == fn.params.end()) return;
+    const auto i = static_cast<std::size_t>(it - fn.params.begin());
     auto& vec = write ? sum.paramWrite : sum.paramRead;
-    if (!vec[it->second]) {
-      vec[it->second] = true;
+    if (!vec[i]) {
+      vec[i] = true;
       changed = true;
     }
   };
@@ -82,16 +81,26 @@ std::vector<FnSummary> summarizeFunctions(const ir::Program& prog) {
 // FnTables
 // ---------------------------------------------------------------------------
 
-FnTables::FnTables(const ir::Function& fn) {
+FnTables::FnTables(const ir::Function& fn)
+    : defNode_(fn.numVals, nullptr), defBlock_(fn.numVals, nullptr) {
   parent_[&fn.body] = nullptr;
   indexBlock(fn.body);
 }
 
+void FnTables::setDef(ValId v, const Block& owner, const Node* node) {
+  if (v >= defBlock_.size()) {
+    defBlock_.resize(std::size_t{v} + 1, nullptr);
+    defNode_.resize(std::size_t{v} + 1, nullptr);
+  }
+  defBlock_[v] = &owner;
+  if (node) defNode_[v] = node;
+}
+
 void FnTables::indexBlock(const Block& b) {
-  if (b.indexVal != kNoVal) defBlock_[b.indexVal] = &b;
+  if (b.indexVal != kNoVal) setDef(b.indexVal, b, nullptr);
   for (const ir::Carried& c : b.carried) {
-    defBlock_[c.cur] = &b;
-    defBlock_[c.shadow] = &b;
+    setDef(c.cur, b, nullptr);
+    setDef(c.shadow, b, nullptr);
   }
   indexItems(b.condItems, b);
   indexItems(b.body, b);
@@ -102,23 +111,20 @@ void FnTables::indexItems(const std::vector<Item>& items, const Block& owner) {
   for (const Item& it : items) {
     switch (it.kind) {
       case ItemKind::Node:
-        if (it.node.dst != kNoVal) {
-          defNode_[it.node.dst] = &it.node;
-          defBlock_[it.node.dst] = &owner;
-        }
+        if (it.node.dst != kNoVal) setDef(it.node.dst, owner, &it.node);
         break;
       case ItemKind::If:
         // Merge values: defined in the owner block but with no single node.
         {
           std::vector<ValId> defs;
           ir::itemDefs(it, defs);
-          for (ValId d : defs) defBlock_[d] = &owner;
+          for (ValId d : defs) setDef(d, owner, nullptr);
         }
         indexItems(it.ifi->thenItems, owner);
         indexItems(it.ifi->elseItems, owner);
         break;
       case ItemKind::Call:
-        if (it.call->dst != kNoVal) defBlock_[it.call->dst] = &owner;
+        if (it.call->dst != kNoVal) setDef(it.call->dst, owner, nullptr);
         break;
       case ItemKind::Loop:
         parent_[it.loop.get()] = &owner;
@@ -138,13 +144,11 @@ void FnTables::indexItems(const std::vector<Item>& items, const Block& owner) {
 // the same owner block — consistent either way.
 
 const Node* FnTables::defNode(ValId v) const {
-  auto it = defNode_.find(v);
-  return it == defNode_.end() ? nullptr : it->second;
+  return v < defNode_.size() ? defNode_[v] : nullptr;
 }
 
 const Block* FnTables::defBlock(ValId v) const {
-  auto it = defBlock_.find(v);
-  return it == defBlock_.end() ? nullptr : it->second;
+  return v < defBlock_.size() ? defBlock_[v] : nullptr;
 }
 
 bool FnTables::isInvariant(ValId v, const Block& loop) const {

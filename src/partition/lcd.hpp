@@ -63,8 +63,11 @@ class FnTables {
   void indexBlock(const ir::Block& b);
   void indexItems(const std::vector<ir::Item>& items, const ir::Block& owner);
 
-  std::unordered_map<ir::ValId, const ir::Node*> defNode_;
-  std::unordered_map<ir::ValId, const ir::Block*> defBlock_;
+  void setDef(ir::ValId v, const ir::Block& owner, const ir::Node* node);
+
+  // By ValId (dense per function; nullptr where unknown).
+  std::vector<const ir::Node*> defNode_;
+  std::vector<const ir::Block*> defBlock_;
   std::unordered_map<const ir::Block*, const ir::Block*> parent_;
 };
 

@@ -87,14 +87,13 @@ struct JobRunner::Impl : native::ExecPool {
   std::list<std::uint64_t> lru;  // front = most recently used
 
   // ---- Per-job deadline watchdog ----------------------------------------
-  // One shared timer thread arms every timed job's abort flag. Entries for
-  // jobs that finished early fire into a dead flag — harmless, the flag is
-  // shared_ptr-kept and the machine that watched it is gone.
+  // One shared timer thread arms every timed job's abort flag. A job that
+  // ends disarms its entry, so the list holds only running timed jobs.
   struct Deadline {
     std::chrono::steady_clock::time_point at;
     std::shared_ptr<std::atomic<bool>> flag;
   };
-  std::mutex dlM;
+  mutable std::mutex dlM;
   std::condition_variable dlCv;
   std::vector<Deadline> deadlines;
   bool dlStop = false;
@@ -171,6 +170,18 @@ struct JobRunner::Impl : native::ExecPool {
            std::move(flag)});
     }
     dlCv.notify_all();
+  }
+
+  /// Drops a job's deadline if it has not fired. The watchdog may still wake
+  /// at the dropped time; it then finds nothing due and waits again.
+  void disarmDeadline(const std::shared_ptr<std::atomic<bool>>& flag) {
+    std::lock_guard<std::mutex> g(dlM);
+    for (auto it = deadlines.begin(); it != deadlines.end(); ++it) {
+      if (it->flag == flag) {
+        deadlines.erase(it);
+        return;
+      }
+    }
   }
 
   /// Cache lookup under `m`; refreshes LRU position and counts hit/miss.
@@ -285,6 +296,7 @@ struct JobRunner::Impl : native::ExecPool {
       armDeadline(abortFlag, job.req.timeoutMs);
     }
     NativeRun run = runNative(*compiled, nc);
+    if (abortFlag) disarmDeadline(abortFlag);
     rep.ok = run.stats.ok;
     rep.error = run.stats.error;
     rep.wallMs = run.stats.wallSeconds * 1e3;
@@ -368,6 +380,8 @@ Counters JobRunner::stats() const {
   out.add("serve.inflight", im.inflight);
   out.add("serve.queued", static_cast<std::int64_t>(im.jobQ.size()));
   out.add("serve.cache.size", static_cast<std::int64_t>(im.cache.size()));
+  std::lock_guard<std::mutex> dg(im.dlM);
+  out.add("serve.deadlines", static_cast<std::int64_t>(im.deadlines.size()));
   return out;
 }
 

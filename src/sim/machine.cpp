@@ -280,6 +280,8 @@ enum class Ctr : std::uint8_t {
   RecoveryReplayedFrames,
   RecoveryReplayedTokens,
   RuntimeErrors,
+  SimEventqYieldsHeadL,
+  SimEventqYieldsOwnEvent,
   SpCompleted,
   SpInstantiated,
   TokensDropped,
@@ -329,6 +331,8 @@ const char* ctrName(Ctr c) {
     case Ctr::RecoveryReplayedFrames: return "recovery.replayedFrames";
     case Ctr::RecoveryReplayedTokens: return "recovery.replayedTokens";
     case Ctr::RuntimeErrors: return "runtime.errors";
+    case Ctr::SimEventqYieldsHeadL: return "sim.eventq.yieldsHeadL";
+    case Ctr::SimEventqYieldsOwnEvent: return "sim.eventq.yieldsOwnEvent";
     case Ctr::SpCompleted: return "sp.completed";
     case Ctr::SpInstantiated: return "sp.instantiated";
     case Ctr::TokensDropped: return "tokens.dropped";
@@ -494,6 +498,7 @@ struct Machine::Impl {
       pendingAt;
   bool inSlice = false;  // an EU slice is running; its PE is actorPe
   std::int64_t sliceLimit = 0;
+  bool sliceByOwn = false;  // sliceLimit is the PE's own event, not head + L
   // Live-SP tracking: PODS removed the k-bounded-loop throttling, so the
   // only bound on concurrently-live SP frames is data availability. The
   // peak is reported as counter "sp.peakLive". Frames start and end on
@@ -637,10 +642,14 @@ struct Machine::Impl {
                            static_cast<int>(ev.pe) == cfg.faults.killPe;
       if (lookahead) {
         pendingAt[ev.pe].push(ev.t.ns);
-        if (inSlice)
-          sliceLimit = std::min(sliceLimit, ev.pe == actorPe
-                                                ? ev.t.ns
-                                                : ev.t.ns + crossPeNs - 1);
+        if (inSlice) {
+          const bool own = ev.pe == actorPe;
+          const std::int64_t bound = own ? ev.t.ns : ev.t.ns + crossPeNs - 1;
+          if (bound < sliceLimit) {
+            sliceLimit = bound;
+            sliceByOwn = own;
+          }
+        }
       }
       cq.push(key, std::move(ev), indexed);
     } else {
@@ -1191,7 +1200,11 @@ struct Machine::Impl {
     if (const EvKey* k = cq.peekKey()) head = k->t;
     if (!kicks.empty()) head = std::min(head, kicks.top().key.t);
     sliceLimit = head == kNever ? kNever : head + crossPeNs - 1;
-    if (!pendingAt[pe].empty()) sliceLimit = std::min(sliceLimit, pendingAt[pe].top());
+    sliceByOwn = false;
+    if (!pendingAt[pe].empty() && pendingAt[pe].top() < sliceLimit) {
+      sliceLimit = pendingAt[pe].top();
+      sliceByOwn = true;
+    }
     inSlice = true;
   }
 
@@ -1753,6 +1766,11 @@ struct Machine::Impl {
       // global time order. The exact rule reads the calendar's cached head in
       // O(1); the lookahead rule compares against the slice's window.
       if (mustYield(t)) {
+        // Which bound closed the lookahead window (engine-private, so named
+        // under sim.eventq.*).
+        if (lookahead)
+          ctrs.add(sliceByOwn ? Ctr::SimEventqYieldsOwnEvent
+                              : Ctr::SimEventqYieldsHeadL);
         Frame& f = P.frames[static_cast<std::size_t>(P.current)];
         f.state = FrameState::Ready;
         P.readyQ.push_front(static_cast<std::uint32_t>(P.current));
@@ -2317,6 +2335,9 @@ struct Machine::Impl {
           liveChange(/*up=*/false);
           break;
         }
+        case RecEntry::Kind::Recv:
+        case RecEntry::Kind::Am:
+          PODS_UNREACHABLE("multi-process record in a simulator recovery log");
       }
     }
     // Every frame that was live at the kill restarts from pc 0. Headers come

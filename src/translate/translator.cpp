@@ -1,6 +1,7 @@
 #include "translate/translator.hpp"
 
-#include <queue>
+#include <algorithm>
+#include <functional>
 #include <unordered_map>
 
 #include "ir/defuse.hpp"
@@ -21,46 +22,79 @@ using ir::ValId;
 // Instruction ordering (the paper's topological ordering of code blocks)
 // ---------------------------------------------------------------------------
 
-std::vector<const Item*> orderItems(const std::vector<Item>& items) {
-  const std::size_t n = items.size();
-  // Producer of each value within this list.
-  std::unordered_map<ValId, std::size_t> producer;
-  std::vector<std::vector<ValId>> defs(n), uses(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ir::itemDefs(items[i], defs[i]);
-    ir::itemUses(items[i], uses[i]);
-    for (ValId d : defs[i]) producer.emplace(d, i);
+ItemOrderer::ItemOrderer(const ir::DefUse& du, std::uint32_t numVals)
+    : du_(du), producer_(numVals, kNone) {}
+
+std::vector<const Item*> ItemOrderer::order(const std::vector<Item>& items) {
+  const auto n = static_cast<std::uint32_t>(items.size());
+  // Producer of each value within this list (the first, should two define it).
+  for (std::uint32_t i = 0; i < n; ++i) {
+    du_.forEachDef(items[i], [&](ValId d) {
+      if (d >= producer_.size()) producer_.resize(std::size_t{d} + 1, kNone);
+      if (producer_[d] != kNone) return;
+      producer_[d] = i;
+      produced_.push_back(d);
+    });
   }
-  std::vector<std::vector<std::size_t>> succ(n);
-  std::vector<std::size_t> indeg(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (ValId u : uses[i]) {
-      auto it = producer.find(u);
-      if (it != producer.end() && it->second != i) {
-        succ[it->second].push_back(i);
-        ++indeg[i];
-      }
-    }
+  // Arcs from producer to reader, in reader order.
+  edges_.clear();
+  bool forward = true;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    du_.forEachUse(items[i], [&](ValId u) {
+      if (u >= producer_.size()) return;
+      const std::uint32_t p = producer_[u];
+      if (p == kNone || p == i) return;
+      edges_.emplace_back(p, i);
+      forward = forward && p < i;
+    });
   }
-  // Kahn's algorithm with a min-heap on the original index: items that are
-  // mutually independent keep their original relative order.
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      std::greater<std::size_t>>
-      ready;
-  for (std::size_t i = 0; i < n; ++i)
-    if (indeg[i] == 0) ready.push(i);
+  for (ValId d : produced_) producer_[d] = kNone;
+  produced_.clear();
+
   std::vector<const Item*> out;
   out.reserve(n);
-  while (!ready.empty()) {
-    std::size_t i = ready.top();
-    ready.pop();
+  // Kahn's algorithm below emits a list whose arcs all point forward in its
+  // original order: take the common case without building the graph.
+  if (forward) {
+    for (const Item& it : items) out.push_back(&it);
+    return out;
+  }
+  // Successor lists, flattened (counting sort of the arcs by producer).
+  indeg_.assign(n, 0);
+  succStart_.assign(std::size_t{n} + 1, 0);
+  for (auto [from, to] : edges_) {
+    ++succStart_[from + 1];
+    ++indeg_[to];
+  }
+  for (std::uint32_t i = 0; i < n; ++i) succStart_[i + 1] += succStart_[i];
+  succ_.resize(edges_.size());
+  for (auto [from, to] : edges_) succ_[succStart_[from]++] = to;
+  for (std::uint32_t i = n; i > 0; --i) succStart_[i] = succStart_[i - 1];
+  succStart_[0] = 0;
+  // Kahn's algorithm with a min-heap on the original index: items that are
+  // mutually independent keep their original relative order.
+  ready_.clear();
+  for (std::uint32_t i = 0; i < n; ++i)
+    if (indeg_[i] == 0) ready_.push_back(i);  // ascending: already a min-heap
+  while (!ready_.empty()) {
+    std::pop_heap(ready_.begin(), ready_.end(), std::greater<>());
+    const std::uint32_t i = ready_.back();
+    ready_.pop_back();
     out.push_back(&items[i]);
-    for (std::size_t s : succ[i]) {
-      if (--indeg[s] == 0) ready.push(s);
+    for (std::uint32_t e = succStart_[i]; e < succStart_[i + 1]; ++e) {
+      if (--indeg_[succ_[e]] == 0) {
+        ready_.push_back(succ_[e]);
+        std::push_heap(ready_.begin(), ready_.end(), std::greater<>());
+      }
     }
   }
   PODS_CHECK_MSG(out.size() == n, "dataflow cycle inside a code block");
   return out;
+}
+
+std::vector<const Item*> orderItems(const std::vector<Item>& items) {
+  const ir::DefUse du(items);
+  return ItemOrderer(du, 0).order(items);
 }
 
 // ---------------------------------------------------------------------------
@@ -134,6 +168,9 @@ class Translator {
       : prog_(prog), plan_(plan) {}
 
   SpProgram run() {
+    // Every block's def/use sets, computed once per function for both passes.
+    defUse_.reserve(prog_.fns.size());
+    for (const ir::Function& fn : prog_.fns) defUse_.emplace_back(fn);
     // Pass 1: assign SP ids and call interfaces for every code block.
     for (const ir::Function& fn : prog_.fns) {
       FnSig sig;
@@ -146,13 +183,15 @@ class Translator {
       if (!isMain && fn.retType != fe::Ty::Void) sig.retCont = next++;
       fnSigs_.push_back(sig);
       out_.sps[sig.spId].numArgs = next;
-      signLoops(fn.body, fn.name);
+      signLoops(fn.body, defUse_[fnSigs_.size() - 1]);
     }
     // Pass 2: emit code for every block.
     for (std::size_t f = 0; f < prog_.fns.size(); ++f) {
-      emitFunction(prog_.fns[f], fnSigs_[f],
-                   f == prog_.mainIndex);
-      emitLoopsIn(prog_.fns[f].body, prog_.fns[f]);
+      const ir::Function& fn = prog_.fns[f];
+      FnEmit fnEmit{defUse_[f], ItemOrderer(defUse_[f], fn.numVals),
+                std::vector<std::uint16_t>(fn.numVals, kNoSlot)};
+      emitFunction(fn, fnSigs_[f], f == prog_.mainIndex, fnEmit);
+      emitLoopsIn(fn.body, fnEmit);
     }
     out_.mainSp = fnSigs_[prog_.mainIndex].spId;
     out_.numResults =
@@ -171,7 +210,7 @@ class Translator {
   }
 
   /// Recursively assigns SP ids + signatures for every loop block.
-  void signLoops(const Block& b, const std::string& prefix) {
+  void signLoops(const Block& b, const ir::DefUse& du) {
     ir::forEachItem(b, [&](const Item& it) {
       if (it.kind != ItemKind::Loop) return;
       const Block& loop = *it.loop;
@@ -188,7 +227,7 @@ class Translator {
       }
       for (std::size_t c = 0; c < loop.carried.size(); ++c)
         sig.curSlots.push_back(next++);
-      sig.exts = ir::blockExternalUses(loop);
+      sig.exts = du.externalUses(loop);
       for (std::size_t e = 0; e < sig.exts.size(); ++e)
         sig.extSlots.push_back(next++);
       sig.doneCont = next++;
@@ -197,21 +236,32 @@ class Translator {
       out_.sps[sig.spId].numArgs = next;
       blockSigs_[&loop] = std::move(sig);
     });
-    (void)prefix;
-  }
-
-  void emitLoopsIn(const Block& b, const ir::Function& fn) {
-    ir::forEachItem(b, [&](const Item& it) {
-      if (it.kind == ItemKind::Loop) emitLoop(*it.loop, fn);
-    });
   }
 
   // ---- per-SP emission ----------------------------------------------------
 
+  /// Emission state shared by the SPs of one function.
+  struct FnEmit {
+    const ir::DefUse& du;
+    ItemOrderer order;
+    // ValId -> slot in the SP being emitted; kNoSlot elsewhere. Each SP
+    // resets the entries it bound when it finishes.
+    std::vector<std::uint16_t> slotOf;
+  };
+
+  void emitLoopsIn(const Block& b, FnEmit& fnEmit) {
+    ir::forEachItem(b, [&](const Item& it) {
+      if (it.kind == ItemKind::Loop) emitLoop(*it.loop, fnEmit);
+    });
+  }
+
   /// State for emitting one SP's instruction stream.
   struct Emit {
+    Emit(FnEmit& f, SpCode* code) : fn(f), sp(code) {}
+
+    FnEmit& fn;
     SpCode* sp = nullptr;
-    std::unordered_map<ValId, std::uint16_t> slotOf;
+    std::vector<ValId> bound;  // the entries of fn.slotOf this SP set
     std::uint16_t nextSlot = 0;
     // Scratch registers shared within the SP.
     std::uint16_t one = kNoSlot, nspawn = kNoSlot, counter = kNoSlot,
@@ -227,11 +277,22 @@ class Translator {
       sp->slotNames[s] = name;
       return s;
     }
+    /// Binds value `v` to slot `s` in this SP.
+    void bind(ValId v, std::uint16_t s) {
+      if (v >= fn.slotOf.size()) fn.slotOf.resize(std::size_t{v} + 1, kNoSlot);
+      if (fn.slotOf[v] == kNoSlot) bound.push_back(v);
+      fn.slotOf[v] = s;
+    }
+    /// The slot `v` is bound to, which must exist.
+    std::uint16_t slotOf(ValId v) const {
+      PODS_CHECK_MSG(v < fn.slotOf.size() && fn.slotOf[v] != kNoSlot,
+                     "value has no slot");
+      return fn.slotOf[v];
+    }
     std::uint16_t slotFor(ValId v) {
-      auto it = slotOf.find(v);
-      if (it != slotOf.end()) return it->second;
+      if (v < fn.slotOf.size() && fn.slotOf[v] != kNoSlot) return fn.slotOf[v];
       std::uint16_t s = alloc("%" + std::to_string(v));
-      slotOf[v] = s;
+      bind(v, s);
       return s;
     }
     Instr& ins(Op op) {
@@ -255,6 +316,7 @@ class Translator {
             static_cast<std::uint32_t>(labels[static_cast<std::size_t>(label)]);
       }
       sp->numSlots = nextSlot;
+      for (ValId v : bound) fn.slotOf[v] = kNoSlot;
     }
   };
 
@@ -277,12 +339,13 @@ class Translator {
     l3.dst = e.npes;
   }
 
-  void emitFunction(const ir::Function& fn, const FnSig& sig, bool isMain) {
-    Emit e;
-    e.sp = &out_.sps[sig.spId];
+  void emitFunction(const ir::Function& fn, const FnSig& sig, bool isMain,
+                    FnEmit& fnEmit) {
+    Emit e(fnEmit, &out_.sps[sig.spId]);
+    e.sp->code.reserve(16 + fn.retVals.size() + codeBound(fn.body.body, fnEmit.du));
     // Argument slots.
     for (std::size_t i = 0; i < fn.params.size(); ++i) {
-      e.slotOf[fn.params[i]] = sig.paramSlots[i];
+      e.bind(fn.params[i], sig.paramSlots[i]);
       e.nextSlot = std::max<std::uint16_t>(e.nextSlot, sig.paramSlots[i] + 1);
     }
     std::uint16_t retContSlot = sig.retCont;
@@ -315,24 +378,26 @@ class Translator {
     e.finish();
   }
 
-  void emitLoop(const Block& loop, const ir::Function& fn) {
-    (void)fn;
+  void emitLoop(const Block& loop, FnEmit& fnEmit) {
     const BlockSig& sig = blockSigs_.at(&loop);
     const partition::LoopPlan* lp = plan_.find(&loop);
     const bool replicated = lp && lp->replicated;
 
-    Emit e;
-    e.sp = &out_.sps[sig.spId];
+    Emit e(fnEmit, &out_.sps[sig.spId]);
+    e.sp->code.reserve(32 + 4 * loop.carried.size() +
+                       codeBound(loop.condItems, fnEmit.du) +
+                       codeBound(loop.body, fnEmit.du) +
+                       codeBound(loop.finalItems, fnEmit.du));
     e.nextSlot = sig.numArgs;
     e.sp->slotNames.resize(e.nextSlot);
     if (sig.argInit != kNoSlot) e.sp->slotNames[sig.argInit] = "$init";
     if (sig.argLimit != kNoSlot) e.sp->slotNames[sig.argLimit] = "$limit";
     for (std::size_t c = 0; c < loop.carried.size(); ++c) {
-      e.slotOf[loop.carried[c].cur] = sig.curSlots[c];
+      e.bind(loop.carried[c].cur, sig.curSlots[c]);
       e.sp->slotNames[sig.curSlots[c]] = "cur" + std::to_string(c);
     }
     for (std::size_t x = 0; x < sig.exts.size(); ++x) {
-      e.slotOf[sig.exts[x]] = sig.extSlots[x];
+      e.bind(sig.exts[x], sig.extSlots[x]);
       e.sp->slotNames[sig.extSlots[x]] = "ext%" + std::to_string(sig.exts[x]);
     }
     e.sp->slotNames[sig.doneCont] = "$donecont";
@@ -344,7 +409,7 @@ class Translator {
     std::vector<std::uint16_t> shadows;
     for (std::size_t c = 0; c < loop.carried.size(); ++c) {
       std::uint16_t s = e.alloc("shadow" + std::to_string(c));
-      e.slotOf[loop.carried[c].shadow] = s;
+      e.bind(loop.carried[c].shadow, s);
       shadows.push_back(s);
     }
 
@@ -495,20 +560,20 @@ class Translator {
     for (std::size_t c = 0; c < loop.carried.size(); ++c) {
       Instr& mv = e.ins(Op::MOV);
       mv.dst = shadows[c];
-      mv.a = e.slotOf.at(loop.carried[c].cur);
+      mv.a = e.slotOf(loop.carried[c].cur);
     }
     emitItems(e, loop.body, &loop);
     // Back edge: cur <- shadow.
     for (std::size_t c = 0; c < loop.carried.size(); ++c) {
       Instr& mv = e.ins(Op::MOV);
-      mv.dst = e.slotOf.at(loop.carried[c].cur);
+      mv.dst = e.slotOf(loop.carried[c].cur);
       mv.a = shadows[c];
     }
   }
 
   void emitItems(Emit& e, const std::vector<Item>& items,
                  const Block* owner = nullptr) {
-    for (const Item* it : orderItems(items)) emitItem(e, *it, owner);
+    for (const Item* it : e.fn.order.order(items)) emitItem(e, *it, owner);
   }
 
   void emitItem(Emit& e, const Item& item, const Block* owner) {
@@ -536,7 +601,7 @@ class Translator {
       case ItemKind::Next: {
         PODS_CHECK_MSG(owner, "next outside loop body");
         Instr& mv = e.ins(Op::MOV);
-        mv.dst = e.slotOf.at(owner->carried[item.carryIndex].shadow);
+        mv.dst = e.slotOf(owner->carried[item.carryIndex].shadow);
         mv.a = e.slotFor(item.nextVal);
         break;
       }
@@ -666,8 +731,34 @@ class Translator {
     add.b = replicated ? e.npes : e.one;
   }
 
+  /// An upper bound on the instructions emitItems() emits for `items`.
+  static std::size_t codeBound(const std::vector<Item>& items,
+                               const ir::DefUse& du) {
+    std::size_t n = 0;
+    for (const Item& it : items) {
+      switch (it.kind) {
+        case ItemKind::Node:
+        case ItemKind::Next:
+          n += 1;
+          break;
+        case ItemKind::If:
+          n += 2 + codeBound(it.ifi->thenItems, du) +
+               codeBound(it.ifi->elseItems, du);
+          break;
+        case ItemKind::Call:
+          n += 4 + it.call->args.size();
+          break;
+        case ItemKind::Loop:
+          n += 9 + it.loop->carried.size() + du.externalUses(*it.loop).size();
+          break;
+      }
+    }
+    return n;
+  }
+
   const ir::Program& prog_;
   const partition::Plan& plan_;
+  std::vector<ir::DefUse> defUse_;  // by function index
   SpProgram out_;
   std::vector<FnSig> fnSigs_;
   std::unordered_map<const Block*, BlockSig> blockSigs_;

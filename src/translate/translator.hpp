@@ -20,6 +20,11 @@
 // emitted SP code is final (no later patching of jump targets is needed).
 #pragma once
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "ir/defuse.hpp"
 #include "ir/graph.hpp"
 #include "partition/plan.hpp"
 #include "runtime/isa.hpp"
@@ -33,11 +38,34 @@ SpProgram translate(const ir::Program& prog, const partition::Plan& plan);
 /// baseline evaluators so both charge identical instruction costs).
 Op nodeToOp(ir::NodeOp op);
 
-/// Stable dependency-respecting ordering of one item list (the paper's
-/// instruction ordering step): returns the items in an order where no item
-/// reads a value produced by a later item. Items without dependencies
+/// Stable dependency-respecting ordering of item lists (the paper's
+/// instruction ordering step): returns a list's items in an order where no
+/// item reads a value produced by a later item. Items without dependencies
 /// between them keep their original relative order, so an already-valid
-/// list comes back unchanged. Exposed for testing.
+/// list comes back unchanged. One orderer serves every list of a function:
+/// it reads item def/use sets from `du` and keeps a producer table indexed
+/// by ValId, so ordering a list costs time linear in its items' def/use
+/// sets (plus a heap when the list is out of order).
+class ItemOrderer {
+ public:
+  /// `du` must index every list given to order(); `numVals` sizes the
+  /// per-value table (a larger ValId grows it).
+  ItemOrderer(const ir::DefUse& du, std::uint32_t numVals);
+
+  std::vector<const ir::Item*> order(const std::vector<ir::Item>& items);
+
+ private:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+  const ir::DefUse& du_;
+  std::vector<std::uint32_t> producer_;  // ValId -> item index; kNone between calls
+  std::vector<ir::ValId> produced_;      // the entries of producer_ to reset
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges_;  // (from, to)
+  std::vector<std::uint32_t> indeg_, succStart_, succ_, ready_;
+};
+
+/// One-off ordering of a single list (indexes its regions first). Exposed
+/// for testing.
 std::vector<const ir::Item*> orderItems(const std::vector<ir::Item>& items);
 
 }  // namespace pods::translate

@@ -115,6 +115,13 @@ Instr lit(std::uint16_t dst, Value v) {
   return in;
 }
 
+/// A default configuration with `n` workers.
+native::NativeConfig withWorkers(int n) {
+  native::NativeConfig cfg;
+  cfg.numWorkers = n;
+  return cfg;
+}
+
 TEST(NativeErrors, UnknownArrayIdReportedNotDereferenced) {
   // ARD on an array id no allocation ever produced: must fail with the SP
   // name, not dereference a null NArray*.
@@ -127,7 +134,7 @@ TEST(NativeErrors, UnknownArrayIdReportedNotDereferenced) {
   end.op = Op::END;
   SpProgram prog = singleSpProgram(
       {lit(0, Value::arrayv(999)), lit(1, Value::intv(0)), ard, end}, 3);
-  native::NativeMachine m(prog, {.numWorkers = 2});
+  native::NativeMachine m(prog, withWorkers(2));
   native::NativeResult res = m.run();
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("unknown array id 999"), std::string::npos)
@@ -145,7 +152,7 @@ TEST(NativeErrors, NonArrayOperandToArdReported) {
   end.op = Op::END;
   SpProgram prog = singleSpProgram(
       {lit(0, Value::intv(5)), lit(1, Value::intv(0)), ard, end}, 3);
-  native::NativeMachine m(prog, {.numWorkers = 2});
+  native::NativeMachine m(prog, withWorkers(2));
   native::NativeResult res = m.run();
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("non-array operand"), std::string::npos)
@@ -161,7 +168,7 @@ TEST(NativeErrors, NonArrayOperandToDimqReported) {
   end.op = Op::END;
   SpProgram prog =
       singleSpProgram({lit(0, Value::realv(1.5)), dimq, end}, 2);
-  native::NativeMachine m(prog, {.numWorkers = 1});
+  native::NativeMachine m(prog, withWorkers(1));
   native::NativeResult res = m.run();
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("non-array operand"), std::string::npos)

@@ -496,6 +496,32 @@ TEST(ServeRunner, AbortedJobLeavesZeroResidueInSurvivors) {
   EXPECT_TRUE(sameOutputs(rep.out, survivorRep.out, &why)) << why;
 }
 
+TEST(ServeRunner, FinishedTimedJobsDisarmTheirDeadlines) {
+  ServeConfig cfg;
+  cfg.pes = 2;
+  JobRunner runner(cfg);
+  EXPECT_EQ(runner.stats().get("serve.deadlines"), 0);
+  // Jobs that finish well inside their timeout leave no armed deadline.
+  for (int i = 0; i < 6; ++i) {
+    JobRequest req;
+    req.source = workloads::simpleSource(8, 1);
+    req.timeoutMs = 60000;
+    JobReply rep = runner.run(req);
+    ASSERT_TRUE(rep.ok) << rep.error;
+  }
+  EXPECT_EQ(runner.stats().get("serve.deadlines"), 0);
+
+  // A job that overruns its timeout is still aborted.
+  JobRequest slow;
+  slow.source = workloads::simpleSource(48, 200);  // ~2.5s unaborted
+  slow.timeoutMs = 120;
+  JobReply rep = runner.run(slow);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_EQ(rep.error.rfind("aborted", 0), 0u) << rep.error;
+  EXPECT_EQ(runner.stats().get("serve.deadlines"), 0);
+  EXPECT_EQ(runner.stats().get("serve.jobs.aborted"), 1);
+}
+
 // ---------------------------------------------------------------------------
 // Daemon + Client over a real Unix socket
 // ---------------------------------------------------------------------------
