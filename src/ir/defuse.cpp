@@ -110,16 +110,8 @@ const std::vector<ValId>& DefUse::externalUses(const Block& loop) const {
   return it->second;
 }
 
-void DefUse::uses(const Item& item, std::vector<ValId>& out) const {
-  forEachUse(item, [&](ValId v) { out.push_back(v); });
-}
-
-void DefUse::defs(const Item& item, std::vector<ValId>& out) const {
-  forEachDef(item, [&](ValId v) { out.push_back(v); });
-}
-
 void itemUses(const Item& item, std::vector<ValId>& out) {
-  DefUse(item).uses(item, out);
+  DefUse(item).forEachUse(item, [&](ValId v) { out.push_back(v); });
 }
 
 void itemDefs(const Item& item, std::vector<ValId>& out) {

@@ -32,28 +32,22 @@ class DefUse {
   /// Indexes every region below the items of one list.
   explicit DefUse(const std::vector<Item>& items);
 
-  /// Values `item` (including any nested region) may read that are not
-  /// produced inside it, in item order, duplicates kept. For Loop items this
-  /// includes the loop bounds and carry initializers, which the parent
-  /// computes and sends through L.
-  void uses(const Item& item, std::vector<ValId>& out) const;
-
-  /// Values an item makes available to subsequent items in the same list.
-  /// For If items these are the values both arms define (merge values); for
-  /// Loop items it is the yield value (if any).
-  void defs(const Item& item, std::vector<ValId>& out) const;
-
   /// External uses of a loop block: every value its subtree reads that no
   /// part of the subtree defines, first occurrences in item order. These are
   /// exactly the tokens the parent must send through the (possibly
   /// distributing) L operator.
   const std::vector<ValId>& externalUses(const Block& loop) const;
 
-  /// Calls fn(v) for each value in uses(item), in the same order.
+  /// Calls fn(v) for each value `item` (including any nested region) may
+  /// read that is not produced inside it, in item order, duplicates kept.
+  /// For Loop items this includes the loop bounds and carry initializers,
+  /// which the parent computes and sends through L.
   template <typename F>
   void forEachUse(const Item& item, F&& fn) const;
 
-  /// Calls fn(v) for each value in defs(item), in the same order.
+  /// Calls fn(v) for each value an item makes available to subsequent items
+  /// in the same list. For If items these are the values both arms define
+  /// (merge values); for Loop items it is the yield value (if any).
   template <typename F>
   void forEachDef(const Item& item, F&& fn) const;
 
@@ -132,12 +126,12 @@ void DefUse::forEachDef(const Item& item, F&& fn) const {
   }
 }
 
-/// uses() of one item, without a table: indexes the item's subtree first
+/// forEachUse() of one item into `out`, without a table: indexes the item's subtree first
 /// (linear in its size). Callers that ask about many items of one function
 /// should build a DefUse once instead.
 void itemUses(const Item& item, std::vector<ValId>& out);
 
-/// defs() of one item, without a table (walks If arms; linear in their size).
+/// forEachDef() of one item into `out`, without a table (walks If arms; linear in their size).
 void itemDefs(const Item& item, std::vector<ValId>& out);
 
 /// externalUses() of one loop block, without a table (linear in its subtree).
